@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Run the closed-form vs operator-count battery and write its reports."""
+"""Run the closed-form vs operator-count battery and write its reports.
+
+Writes the same oracle_report.{txt,csv} bytes as `rooflm oracle-check`, and
+prints one summary line per report.
+"""
 
 import argparse
 import sys
 from pathlib import Path
 
-from rooflm.oracle import default_battery
+from rooflm.oracle import battery_report, default_battery
 
 
 def main() -> int:
@@ -16,19 +20,14 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = default_battery()
-    texts, csv_lines = [], []
     for label, report in reports:
         gap = max(abs(c.exponent_analytic - c.exponent_oracle) for c in report.checks)
         drift = max(c.ratio_drift for c in report.checks)
         print(f"{label:<38s} {report.verdict:<6s} worst |dexp|={gap:.4f} drift={drift:.2%}")
-        texts.append(f"=== {label} ===\n{report.to_text()}")
-        body = report.to_csv().splitlines()
-        if not csv_lines:
-            csv_lines.append("config," + body[0])
-        csv_lines.extend(f"{label}," + line for line in body[1:])
 
-    (out_dir / "oracle_report.txt").write_text("\n".join(texts), encoding="utf-8")
-    (out_dir / "oracle_report.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    text, csv = battery_report(reports)
+    (out_dir / "oracle_report.txt").write_text(text, encoding="utf-8", newline="\n")
+    (out_dir / "oracle_report.csv").write_text(csv, encoding="utf-8", newline="\n")
     return 0 if all(r.passed for _, r in reports) else 3
 
 

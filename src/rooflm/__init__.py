@@ -3,9 +3,6 @@
 from .analytic import (
     CostBreakdown,
     ScheduleCost,
-    arint_ar,
-    arint_block,
-    arint_dlm,
     length_regime,
     published_arint,
     step_cost,
@@ -54,9 +51,6 @@ __all__ = [
     "SweepSpec",
     "ThroughputEstimate",
     "Workload",
-    "arint_ar",
-    "arint_block",
-    "arint_dlm",
     "asymptotic_trend",
     "attainable_performance",
     "build_schedule",

@@ -10,11 +10,12 @@ Counting conventions (a matmul of shapes (s x k) @ (k x m) costs 2*s*k*m):
   weights read once per pass (N elements), K/V traffic 2*d*L_ctx per layer
   per sequence, activations c_act*s*d per layer per sequence (c_act = 4).
 
-The ``arint_*`` functions are a separate family: they evaluate the published
-per-architecture intensity estimates verbatim, including their AR numerator
-B*N and alpha^2 FFN term, which differ from the step-cost conventions above
-by constant factors. The two families are reconciled at the level of scaling
-exponents only (see the counting oracle), never constants.
+The ``published_*`` functions are a separate family: they evaluate the
+published per-architecture intensity estimates verbatim, including their AR
+numerator B*N and alpha^2 FFN term, which differ from the step-cost
+conventions above by constant factors. The two families are reconciled at
+the level of scaling exponents only (see the counting oracle), never
+constants.
 """
 
 from __future__ import annotations
@@ -59,16 +60,6 @@ class CostBreakdown:
             "activation_io": self.activation_io,
         }
 
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            self.projection_flops + other.projection_flops,
-            self.attention_flops + other.attention_flops,
-            self.ffn_flops + other.ffn_flops,
-            self.weights_read + other.weights_read,
-            self.kv_read_write + other.kv_read_write,
-            self.activation_io + other.activation_io,
-        )
-
 
 def _sum_costs(costs) -> CostBreakdown:
     costs = list(costs)
@@ -93,45 +84,18 @@ class ScheduleCost:
 
     @property
     def combined(self) -> CostBreakdown:
-        return self.decode + self.prefill
+        return _sum_costs((self.decode, self.prefill))
 
 
 # ---------------------------------------------------------------------------
 # Published arithmetic-intensity estimates (evaluated verbatim)
 
-def arint_ar(cfg: ModelConfig, wl: Workload) -> float:
-    """AR decode intensity: B*N / (N + B*n_l*n_h*n_d*L).
-
-    Bounded above by B; at L = 0 it equals 1 exactly.
-    """
-    b, n = wl.batch, cfg.n_params
-    return (b * n) / (n + b * cfg.n_l * cfg.n_h * cfg.n_d * wl.total_len)
-
-
-def arint_dlm(cfg: ModelConfig, wl: Workload) -> float:
-    """DLM denoising intensity: 2*B*n_l*(2*L*d^2 + alpha^2*L*d^2 + L^2*d) / (N + B*n_l*d*L)."""
-    b, d, seq = wl.batch, cfg.d, wl.total_len
-    numerator = 2.0 * b * cfg.n_l * (2.0 * seq * d**2 + cfg.alpha**2 * seq * d**2 + seq**2 * d)
-    denominator = cfg.n_params + b * cfg.n_l * d * seq
-    return numerator / denominator
-
-
-def arint_block(cfg: ModelConfig, wl: Workload) -> float:
-    """Block-diffusion intensity:
-    2*B*n_l*(2*G*d^2 + alpha^2*G*d^2 + L*G*d) / (N + 2*B*n_l*d*L + B*n_l*d*G).
-    """
-    b, d, seq, g = wl.batch, cfg.d, wl.total_len, cfg.block_size
-    numerator = 2.0 * b * cfg.n_l * (2.0 * g * d**2 + cfg.alpha**2 * g * d**2 + seq * g * d)
-    denominator = cfg.n_params + 2.0 * b * cfg.n_l * d * seq + b * cfg.n_l * d * g
-    return numerator / denominator
-
-
 def published_arint(arch: Architecture, cfg: ModelConfig, wl: Workload) -> float:
-    if arch is Architecture.AR:
-        return arint_ar(cfg, wl)
-    if arch is Architecture.DLM:
-        return arint_dlm(cfg, wl)
-    return arint_block(cfg, wl)
+    """Published intensity estimate: ``published_step_flops / published_step_bytes``.
+
+    The AR estimate is bounded above by B and equals 1 exactly at L = 0.
+    """
+    return published_step_flops(arch, cfg, wl) / published_step_bytes(arch, cfg, wl)
 
 
 def published_step_flops(arch: Architecture, cfg: ModelConfig, wl: Workload) -> float:
@@ -147,6 +111,21 @@ def published_step_flops(arch: Architecture, cfg: ModelConfig, wl: Workload) -> 
         return 2.0 * b * cfg.n_l * (2.0 * seq * d**2 + cfg.alpha**2 * seq * d**2 + seq**2 * d)
     g = cfg.block_size
     return 2.0 * b * cfg.n_l * (2.0 * g * d**2 + cfg.alpha**2 * g * d**2 + seq * g * d)
+
+
+def published_step_bytes(arch: Architecture, cfg: ModelConfig, wl: Workload) -> float:
+    """Denominators of the published intensity estimates, in elements.
+
+    AR: N + B*n_l*n_h*n_d*L; DLM: N + B*n_l*d*L; block diffusion:
+    N + 2*B*n_l*d*L + B*n_l*d*G.
+    """
+    b, d, seq, n = wl.batch, cfg.d, wl.total_len, cfg.n_params
+    if arch is Architecture.AR:
+        return n + b * cfg.n_l * cfg.n_h * cfg.n_d * seq
+    if arch is Architecture.DLM:
+        return n + b * cfg.n_l * d * seq
+    g = cfg.block_size
+    return n + 2.0 * b * cfg.n_l * d * seq + b * cfg.n_l * d * g
 
 
 def length_regime(cfg: ModelConfig, wl: Workload, margin: float = 10.0) -> str:
@@ -184,10 +163,7 @@ def step_cost(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batch: i
 def total_cost(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:
     """Component-wise sum of step costs; prefill accumulated separately."""
     batch = schedule.batch
-    decode = _sum_costs(
-        step_cost(cfg, s, hw, batch) for s in schedule.steps if not s.is_prefill
+    return ScheduleCost(
+        decode=_sum_costs(step_cost(cfg, s, hw, batch) for s in schedule.decode_steps),
+        prefill=_sum_costs(step_cost(cfg, s, hw, batch) for s in schedule.prefill_steps),
     )
-    prefill = _sum_costs(
-        step_cost(cfg, s, hw, batch) for s in schedule.steps if s.is_prefill
-    )
-    return ScheduleCost(decode=decode, prefill=prefill)

@@ -20,19 +20,11 @@ from .config import (
     load_workload_file,
 )
 from .errors import ConfigValidationError, ConstantDrift, ExponentMismatch
-from .memory import estimate_memory
-from .oracle import default_battery
-from .presets import A800_CLASS, EXTENDED_GEN_LENS
+from .oracle import battery_report, default_battery
+from .presets import A800_CLASS
 from .roofline import ridge_point
-from .sweep import (
-    SweepSpec,
-    csv_text,
-    emit_report_set,
-    run_sweep,
-    sweep_spec_from_dict,
-    validate_sweep_spec,
-)
-from .throughput import IntensitySource, estimate_throughput
+from .sweep import csv_text, emit_report_set, evaluate_point, run_sweep, sweep_spec_from_dict
+from .throughput import IntensitySource
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -57,10 +49,10 @@ def _cmd_analyze(args) -> int:
     hw = load_hardware_file(args.hardware, strict)
     wl, accel = load_workload_file(args.workload, strict)
 
-    est = estimate_throughput(
+    row = evaluate_point(
         arch, cfg, hw, wl, accel, source=_source(args), include_prefill=args.include_prefill
     )
-    mem = estimate_memory(arch, cfg, hw, wl, accel)
+    est, mem = row.estimate, row.memory
 
     print(f"arch: {arch.value}")
     print(f"accel: {accel.label} (tpf={accel.tpf:g})")
@@ -92,30 +84,17 @@ def _cmd_analyze(args) -> int:
     )
 
     if args.csv:
-        spec = SweepSpec(
-            architectures=(arch,),
-            gen_lens=(wl.gen_len,),
-            batches=(wl.batch,),
-            prompt_lens=(wl.prompt_len,),
-            accel={arch: accel},
-            models={arch: cfg},
-            hardware=hw,
-        )
-        rows = run_sweep(spec, source=_source(args), include_prefill=args.include_prefill)
-        Path(args.csv).write_text(csv_text(rows), encoding="utf-8", newline="\n")
+        Path(args.csv).write_text(csv_text([row]), encoding="utf-8", newline="\n")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     _check_files_exist([args.spec])
-    strict = not args.lenient_config
+    data = {}
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        spec = sweep_spec_from_dict(data, strict, extended_lengths=args.extended_lengths)
-    else:
-        gen_lens = EXTENDED_GEN_LENS if args.extended_lengths else SweepSpec().gen_lens
-        spec = validate_sweep_spec(SweepSpec(gen_lens=gen_lens))
+    spec = sweep_spec_from_dict(data, not args.lenient_config, extended_lengths=args.extended_lengths)
     rows = run_sweep(spec, source=_source(args), include_prefill=args.include_prefill)
     written = emit_report_set(rows, args.out_dir, spec)
     for path in written:
@@ -125,17 +104,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     reports = default_battery()
-    text_lines = []
-    csv_lines = []
-    for label, report in reports:
-        text_lines.append(f"=== {label} ===")
-        text_lines.append(report.to_text())
-        body = report.to_csv().splitlines()
-        if not csv_lines:
-            csv_lines.append("config," + body[0])
-        csv_lines.extend(f"{label}," + line for line in body[1:])
-    text = "\n".join(text_lines)
-    csv = "\n".join(csv_lines) + "\n"
+    text, csv = battery_report(reports)
 
     if args.out_dir:
         out_dir = Path(args.out_dir)
@@ -228,9 +197,6 @@ def main(argv=None) -> int:
     except (ExponentMismatch, ConstantDrift) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -2,8 +2,9 @@
 
 Every forward pass is expanded into its individual operators (projections,
 attention score/value matmuls, FFN halves, cache traffic, weight and
-activation movement) and summed. This module never calls into the closed-form
-cost paths; it exists to arbitrate them. ``oracle_check`` sweeps one variable,
+activation movement) and summed. The enumeration (``count_forward``,
+``count_schedule``) never calls into the closed-form cost paths; the checks
+call both sides to arbitrate them. ``oracle_check`` sweeps one variable,
 fits log-log scaling exponents from both sources, and verifies that the
 exponents agree and that the closed-form/oracle ratio stays constant -- a
 constant ratio is a convention difference, a drifting one is a structural bug.
@@ -14,11 +15,9 @@ the modeled scales, and absent from the scaling claims being checked).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import fsum
 from typing import Callable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from . import analytic
 from .analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown, ScheduleCost
@@ -33,6 +32,7 @@ from .config import (
 from .errors import ConstantDrift, ExponentMismatch
 from .roofline import attainable_performance
 from .schedule import DecodeSchedule, StepDescriptor, build_schedule
+from .throughput import fit_exponent, vary
 
 EXCLUDED_OPERATORS = ("softmax", "layernorm", "embedding_lookup")
 
@@ -111,8 +111,8 @@ def count_schedule(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec)
     """Sum of count_forward over all steps, decode and prefill separated."""
     batch = schedule.batch
     return ScheduleCost(
-        decode=_accumulate((s for s in schedule.steps if not s.is_prefill), cfg, hw, batch),
-        prefill=_accumulate((s for s in schedule.steps if s.is_prefill), cfg, hw, batch),
+        decode=_accumulate(schedule.decode_steps, cfg, hw, batch),
+        prefill=_accumulate(schedule.prefill_steps, cfg, hw, batch),
     )
 
 
@@ -217,11 +217,6 @@ class OracleReport:
         return "\n".join(rows) + "\n"
 
 
-def _fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
-    slope, _ = np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)
-    return float(slope)
-
-
 def _metric_pairs(
     arch: Architecture,
     cfg: ModelConfig,
@@ -299,20 +294,14 @@ def oracle_check(
             raise ValueError(f"oracle_check is toy-scale only (L <= {_MAX_L})")
         samples: dict[str, list[PointSample]] = {metric: [] for metric in METRICS}
         for value in grid:
-            case_cfg, case_wl = cfg, wl
-            if variable == "L":
-                case_wl = replace(wl, gen_len=value)
-            elif variable == "B":
-                case_wl = replace(wl, batch=value)
-            else:
-                case_cfg = replace(cfg, block_size=value)
+            case_cfg, case_wl = vary(variable, cfg, wl, value)
             for metric, (ana, orc) in _metric_pairs(arch, case_cfg, case_wl, accel, hw, arint_fn).items():
                 samples[metric].append(PointSample(value, ana, orc))
 
         for metric in METRICS:
             pts = samples[metric]
-            exp_a = _fit_exponent([p.value for p in pts], [p.analytic for p in pts])
-            exp_o = _fit_exponent([p.value for p in pts], [p.oracle for p in pts])
+            exp_a = fit_exponent([p.value for p in pts], [p.analytic for p in pts])
+            exp_o = fit_exponent([p.value for p in pts], [p.oracle for p in pts])
             ratios = [p.ratio for p in pts]
             mean = fsum(ratios) / len(ratios)
             drift = max(abs(r - mean) for r in ratios) / mean
@@ -375,3 +364,19 @@ def default_battery() -> list[tuple[str, OracleReport]]:
                               Workload(batch=1, prompt_len=0, gen_len=1024), variables=bd_vars))
             )
     return reports
+
+
+def battery_report(reports: Sequence[tuple[str, OracleReport]]) -> tuple[str, str]:
+    """Text and CSV of a labeled battery, each report under its label.
+
+    The text joins the reports' ``to_text`` under ``=== label ===`` headers;
+    the CSV prefixes every report's rows with a ``config`` column.
+    """
+    blocks, csv_lines = [], []
+    for label, report in reports:
+        blocks.append(f"=== {label} ===\n{report.to_text()}")
+        header, *body = report.to_csv().splitlines()
+        if not csv_lines:
+            csv_lines.append("config," + header)
+        csv_lines.extend(f"{label},{line}" for line in body)
+    return "\n".join(blocks), "\n".join(csv_lines) + "\n"

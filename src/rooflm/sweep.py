@@ -26,6 +26,7 @@ from .config import (
     NO_ACCELERATION,
     Workload,
     acceleration_from_dict,
+    architecture_from_name,
     hardware_from_dict,
     model_config_from_dict,
     validate_model_config,
@@ -123,7 +124,7 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
 
     kwargs = {}
     if "architectures" in data:
-        kwargs["architectures"] = tuple(Architecture(a) for a in data["architectures"])
+        kwargs["architectures"] = tuple(architecture_from_name(a) for a in data["architectures"])
     for name in ("gen_lens", "batches", "prompt_lens"):
         if name in data:
             kwargs[name] = tuple(data[name])
@@ -137,7 +138,7 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
         kwargs["models"] = models
     if "accel" in data:
         kwargs["accel"] = {
-            Architecture(a): acceleration_from_dict(doc, strict) for a, doc in data["accel"].items()
+            architecture_from_name(a): acceleration_from_dict(doc, strict) for a, doc in data["accel"].items()
         }
     if "hardware" in data:
         kwargs["hardware"] = hardware_from_dict(data["hardware"], strict)
@@ -154,12 +155,9 @@ class SweepRow:
     batch: int
     prompt_len: int
     gen_len: int
-    steps: int
     tpf: float
-    flops_total: float
-    mops_total: float
     memory: MemoryReport
-    estimate: Optional[ThroughputEstimate]  # None for OOM rows
+    estimate: ThroughputEstimate
 
     @property
     def key(self) -> tuple:
@@ -167,7 +165,33 @@ class SweepRow:
 
     @property
     def throughput(self) -> Optional[float]:
-        return self.estimate.tokens_per_second if self.estimate else None
+        """Tokens/s, or None for a point that does not fit in device memory."""
+        return None if self.memory.oom else self.estimate.tokens_per_second
+
+
+def evaluate_point(
+    arch: Architecture,
+    cfg: ModelConfig,
+    hw: HardwareSpec,
+    wl: Workload,
+    accel: AccelerationConfig,
+    *,
+    source: IntensitySource,
+    include_prefill: bool,
+) -> SweepRow:
+    """Memory verdict and throughput estimate of one grid point."""
+    memory = estimate_memory(arch, cfg, hw, wl, accel)
+    est = estimate_throughput(arch, cfg, hw, wl, accel, source=source, include_prefill=include_prefill)
+    return SweepRow(
+        arch=arch,
+        accel_label=accel.label,
+        batch=wl.batch,
+        prompt_len=wl.prompt_len,
+        gen_len=wl.gen_len,
+        tpf=accel.tpf,
+        memory=memory,
+        estimate=est,
+    )
 
 
 def run_sweep(
@@ -185,24 +209,10 @@ def run_sweep(
             for prompt_len in spec.prompt_lens:
                 for gen_len in spec.gen_lens:
                     wl = Workload(batch=batch, prompt_len=prompt_len, gen_len=gen_len)
-                    memory = estimate_memory(arch, cfg, spec.hardware, wl, accel)
-                    est = estimate_throughput(
-                        arch, cfg, spec.hardware, wl, accel,
-                        source=source, include_prefill=include_prefill,
-                    )
                     rows.append(
-                        SweepRow(
-                            arch=arch,
-                            accel_label=accel.label,
-                            batch=batch,
-                            prompt_len=prompt_len,
-                            gen_len=gen_len,
-                            steps=est.decode_steps,
-                            tpf=accel.tpf,
-                            flops_total=est.flops_total,
-                            mops_total=est.mops_total,
-                            memory=memory,
-                            estimate=None if memory.oom else est,
+                        evaluate_point(
+                            arch, cfg, spec.hardware, wl, accel,
+                            source=source, include_prefill=include_prefill,
                         )
                     )
     return tuple(sorted(rows, key=lambda r: r.key))
@@ -278,7 +288,7 @@ def csv_text(rows: Sequence[SweepRow]) -> str:
         raise EmptyRowSet("no sweep rows to emit")
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        est = r.estimate
+        est = None if r.memory.oom else r.estimate  # OOM rows leave the throughput cells empty
         lines.append(
             ",".join(
                 (
@@ -287,10 +297,10 @@ def csv_text(rows: Sequence[SweepRow]) -> str:
                     str(r.batch),
                     str(r.prompt_len),
                     str(r.gen_len),
-                    str(r.steps),
+                    str(r.estimate.decode_steps),
                     _fmt(r.tpf),
-                    _fmt(r.flops_total),
-                    _fmt(r.mops_total),
+                    _fmt(r.estimate.flops_total),
+                    _fmt(r.estimate.mops_total),
                     _fmt(est.arint if est else None),
                     est.regime.value if est else "",
                     _fmt(est.attainable if est else None),

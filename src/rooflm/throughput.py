@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import analytic
 from .analytic import published_arint, published_step_flops, total_cost
 from .config import (
     AccelerationConfig,
@@ -107,6 +108,26 @@ def estimate_throughput(
     )
 
 
+def vary(variable: str, cfg: ModelConfig, wl: Workload, value: int) -> tuple[ModelConfig, Workload]:
+    """The point with sweep variable ``variable`` set to ``value``.
+
+    ``L`` is the generation length, ``B`` the batch size, ``G`` the block size.
+    """
+    if variable == "L":
+        return cfg, replace(wl, gen_len=value)
+    if variable == "B":
+        return cfg, replace(wl, batch=value)
+    if variable == "G":
+        return replace(cfg, block_size=value), wl
+    raise ValueError(f"variable must be 'L', 'B', or 'G', got {variable!r}")
+
+
+def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of log(ys) against log(xs)."""
+    slope, _ = np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)
+    return float(slope)
+
+
 def asymptotic_trend(
     arch: Architecture,
     cfg: ModelConfig,
@@ -124,37 +145,27 @@ def asymptotic_trend(
     """Least-squares slope of log(throughput) against log(``variable``).
 
     ``variable`` is one of ``L`` (generation length), ``B`` (batch size), or
-    ``G`` (block size); every evaluated point must sit in the requested
-    roofline regime and, when ``length_regime`` is given ('L<<d' or 'L>>d'),
-    respect it with a ``margin``-fold separation.
+    ``G`` (block size), as in ``vary``; every evaluated point must sit in the
+    requested roofline regime and, when ``length_regime`` is given ('L<<d' or
+    'L>>d'), carry that ``analytic.length_regime`` tag at ``margin``.
     """
     if len(points) < 3 or any(b <= a for a, b in zip(points, points[1:])):
         raise InsufficientPoints(f"need >= 3 strictly increasing points, got {list(points)!r}")
-    if variable not in ("L", "B", "G"):
-        raise ValueError(f"variable must be 'L', 'B', or 'G', got {variable!r}")
 
     throughputs = []
     for value in points:
-        if variable == "L":
-            case_wl, case_cfg = replace(wl, gen_len=int(value)), cfg
-        elif variable == "B":
-            case_wl, case_cfg = replace(wl, batch=int(value)), cfg
-        else:
-            case_wl, case_cfg = wl, replace(cfg, block_size=int(value))
-        seq = case_wl.total_len
-        if length_regime == "L<<d" and seq * margin > cfg.d:
-            raise RegimeViolation(f"L={seq} is not <= d/{margin:g} (d={cfg.d})")
-        if length_regime == "L>>d" and seq < margin * cfg.d:
-            raise RegimeViolation(f"L={seq} is not >= {margin:g}*d (d={cfg.d})")
+        case_cfg, case_wl = vary(variable, cfg, wl, int(value))
+        if length_regime is not None and analytic.length_regime(case_cfg, case_wl, margin) != length_regime:
+            raise RegimeViolation(
+                f"L={case_wl.total_len} is not {length_regime} at margin {margin:g} (d={cfg.d})"
+            )
         est = estimate_throughput(arch, case_cfg, hw, case_wl, accel, source=source)
         if expected_regime is not None and est.regime is not expected_regime:
             raise RegimeViolation(
                 f"point {variable}={value} is {est.regime.value}, expected {expected_regime.value}"
             )
         throughputs.append(est.tokens_per_second)
-
-    slope, _ = np.polyfit(np.log(np.asarray(points, dtype=float)), np.log(throughputs), 1)
-    return float(slope)
+    return fit_exponent(points, throughputs)
 
 
 def crossing_batch(

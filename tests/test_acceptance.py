@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here and nowhere else.
 """
 
+import hashlib
 import random
 import time
 from collections import defaultdict
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rooflm.analytic import arint_ar, arint_block, arint_dlm, total_cost
+from rooflm.analytic import published_arint, total_cost
 from rooflm.config import AccelerationConfig, Architecture, ModelConfig, Workload
 from rooflm.oracle import default_battery
 from rooflm.presets import A800_CLASS, AR_8B, BLOCK_DIFFUSION_8B, DLM_8B
@@ -39,7 +40,7 @@ def _report(n, name):
 
 
 def test_01_closed_form_fidelity():
-    """arint_* match an independent re-evaluation on 1000 random tuples in < 1 s."""
+    """published_arint matches an independent re-evaluation on 1000 random tuples in < 1 s."""
     rng = random.Random(20240917)
     start = time.monotonic()
     for _ in range(1000):
@@ -66,9 +67,9 @@ def test_01_closed_form_fidelity():
             2 * b * n_l * (2 * g * d**2 + alpha**2 * g * d**2 + seq * g * d)
             / (n + 2 * b * n_l * d * seq + b * n_l * d * g)
         )
-        assert abs(arint_ar(cfg, wl) - expected_ar) <= 1e-12 * expected_ar
-        assert abs(arint_dlm(cfg, wl) - expected_dlm) <= 1e-12 * expected_dlm
-        assert abs(arint_block(cfg, wl) - expected_blk) <= 1e-12 * expected_blk
+        assert abs(published_arint(Architecture.AR, cfg, wl) - expected_ar) <= 1e-12 * expected_ar
+        assert abs(published_arint(Architecture.DLM, cfg, wl) - expected_dlm) <= 1e-12 * expected_dlm
+        assert abs(published_arint(Architecture.BLOCK_DIFFUSION, cfg, wl) - expected_blk) <= 1e-12 * expected_blk
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"fidelity sweep took {elapsed:.2f}s"
     _report(1, "closed-form fidelity")
@@ -106,7 +107,7 @@ def test_03_throughput_identity(default_rows):
     """throughput * flops_per_token = attainable to 1e-12 on every sweep row."""
     checked = 0
     for row in default_rows:
-        if row.estimate is None:
+        if row.memory.oom:
             continue
         est = row.estimate
         assert abs(est.tokens_per_second * est.flops_per_token - est.attainable) <= 1e-12 * est.attainable
@@ -256,8 +257,12 @@ def test_09_dual_cache_step_reduction():
     _report(9, "dual-cache per-step reduction")
 
 
+# SHA-256 of the default grid's sweep.csv, as recorded in perfbench/digests.json
+DEFAULT_SWEEP_CSV_SHA256 = "cdfb6b60b39b0e0191f7d43c640f171797c8de8cd3e709906701f672e2348128"
+
+
 def test_10_determinism(tmp_path):
-    """Two default sweeps emit byte-identical CSV and SVG files."""
+    """Two default sweeps emit byte-identical CSV and SVG files, and the CSV is the recorded one."""
     spec = SweepSpec()
     first = emit_report_set(run_sweep(spec), tmp_path / "run1", spec)
     second = emit_report_set(run_sweep(spec), tmp_path / "run2", spec)
@@ -265,4 +270,6 @@ def test_10_determinism(tmp_path):
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes(), a.name
     assert any(p.suffix == ".csv" for p in first) and any(p.suffix == ".svg" for p in first)
+    csv_bytes = (tmp_path / "run1" / "sweep.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == DEFAULT_SWEEP_CSV_SHA256
     _report(10, "deterministic reports")

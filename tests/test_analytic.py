@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from rooflm.analytic import (
     ACTIVATION_TRAFFIC_ELEMS,
-    arint_ar,
-    arint_block,
-    arint_dlm,
+    published_arint,
     length_regime,
     step_cost,
     total_cost,
@@ -24,58 +22,61 @@ def wl(batch=1, prompt=0, gen=16):
 
 TOY_CFG = ModelConfig(n_l=2, n_h=2, n_d=4, d=8, alpha=4.0, n_params=1000.0)
 TOY_HW = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e12)
+AR, DLM, BLOCK = Architecture.AR, Architecture.DLM, Architecture.BLOCK_DIFFUSION
 
 
 class TestPublishedIntensities:
     """Frozen hand evaluations of the closed-form intensity estimates."""
 
     def test_ar_toy(self, toy_cfg):
-        assert arint_ar(toy_cfg, wl()) == pytest.approx(1000 / 1256, rel=1e-12)
+        assert published_arint(AR, toy_cfg, wl()) == pytest.approx(1000 / 1256, rel=1e-12)
 
     def test_ar_batch_4(self, toy_cfg):
-        assert arint_ar(toy_cfg, wl(batch=4)) == pytest.approx(4000 / 2024, rel=1e-12)
+        assert published_arint(AR, toy_cfg, wl(batch=4)) == pytest.approx(4000 / 2024, rel=1e-12)
 
     def test_ar_zero_length_is_one(self, toy_cfg):
         # L = 0 collapses numerator and denominator to N; the formula accepts
         # the degenerate workload even though scheduling would reject it
-        assert arint_ar(toy_cfg, Workload(1, 0, 0)) == 1.0
-        assert arint_ar(replace(toy_cfg, n_params=42.0), Workload(1, 0, 0)) == 1.0
+        assert published_arint(AR, toy_cfg, Workload(1, 0, 0)) == 1.0
+        assert published_arint(AR, replace(toy_cfg, n_params=42.0), Workload(1, 0, 0)) == 1.0
 
     def test_dlm_toy(self, toy_cfg):
-        assert arint_dlm(toy_cfg, wl()) == pytest.approx(81920 / 1256, rel=1e-12)
+        assert published_arint(DLM, toy_cfg, wl()) == pytest.approx(81920 / 1256, rel=1e-12)
 
     def test_dlm_batch_doubling(self, toy_cfg):
-        one = arint_dlm(toy_cfg, wl(batch=1))
-        two = arint_dlm(toy_cfg, wl(batch=2))
+        one = published_arint(DLM, toy_cfg, wl(batch=1))
+        two = published_arint(DLM, toy_cfg, wl(batch=2))
         assert two == pytest.approx(163840 / 1512, rel=1e-12)
         assert two / one == pytest.approx(1.66, abs=0.01)
 
     def test_dlm_long_length_doubling(self, toy_cfg):
         # deep in the L >> d regime the estimate scales linearly with L
-        lo = arint_dlm(toy_cfg, wl(gen=1024 * toy_cfg.d))
-        hi = arint_dlm(toy_cfg, wl(gen=2048 * toy_cfg.d))
+        lo = published_arint(DLM, toy_cfg, wl(gen=1024 * toy_cfg.d))
+        hi = published_arint(DLM, toy_cfg, wl(gen=2048 * toy_cfg.d))
         assert 1.9 <= hi / lo <= 2.1
 
     def test_block_toy(self, toy_cfg):
         cfg = replace(toy_cfg, block_size=4)
-        assert arint_block(cfg, wl()) == pytest.approx(20480 / 1576, rel=1e-12)
+        assert published_arint(BLOCK, cfg, wl()) == pytest.approx(20480 / 1576, rel=1e-12)
 
     def test_block_size_scaling(self, toy_cfg):
-        assert arint_block(replace(toy_cfg, block_size=8), wl()) == pytest.approx(40960 / 1640, rel=1e-12)
+        cfg = replace(toy_cfg, block_size=8)
+        assert published_arint(BLOCK, cfg, wl()) == pytest.approx(40960 / 1640, rel=1e-12)
 
     def test_architecture_ordering_on_toy(self, toy_cfg):
         cfg = replace(toy_cfg, block_size=4)
-        assert arint_ar(cfg, wl()) < arint_block(cfg, wl()) < arint_dlm(cfg, wl())
+        ar, block, dlm = (published_arint(arch, cfg, wl()) for arch in (AR, BLOCK, DLM))
+        assert ar < block < dlm
 
     def test_ar_bounded_by_batch(self, toy_cfg):
         for batch in (1, 3, 17, 256):
             for gen in (1, 64, 4096):
-                assert arint_ar(toy_cfg, wl(batch=batch, gen=gen)) <= batch
+                assert published_arint(AR, toy_cfg, wl(batch=batch, gen=gen)) <= batch
 
     def test_dlm_loglog_slope_in_length(self, toy_cfg):
         # O(L) scaling at L >> d
         ls = [100 * toy_cfg.d, 300 * toy_cfg.d, 1000 * toy_cfg.d]
-        vals = [arint_dlm(toy_cfg, wl(gen=l)) for l in ls]
+        vals = [published_arint(DLM, toy_cfg, wl(gen=l)) for l in ls]
         slope = np.polyfit(np.log(ls), np.log(vals), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
 
@@ -83,7 +84,7 @@ class TestPublishedIntensities:
         # O(B) scaling while N dominates the denominator
         cfg = replace(toy_cfg, n_params=1e9)
         bs = [1, 2, 4, 8]
-        vals = [arint_dlm(cfg, wl(batch=b, gen=8)) for b in bs]
+        vals = [published_arint(DLM, cfg, wl(batch=b, gen=8)) for b in bs]
         slope = np.polyfit(np.log(bs), np.log(vals), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
 
@@ -119,9 +120,9 @@ class TestFormulaFidelity:
             2 * b * n_l * (2 * g * d**2 + alpha**2 * g * d**2 + L * g * d)
             / (n + 2 * b * n_l * d * L + b * n_l * d * g)
         )
-        assert arint_ar(cfg, w) == pytest.approx(ar, rel=1e-12)
-        assert arint_dlm(cfg, w) == pytest.approx(dlm, rel=1e-12)
-        assert arint_block(cfg, w) == pytest.approx(blk, rel=1e-12)
+        assert published_arint(AR, cfg, w) == pytest.approx(ar, rel=1e-12)
+        assert published_arint(DLM, cfg, w) == pytest.approx(dlm, rel=1e-12)
+        assert published_arint(BLOCK, cfg, w) == pytest.approx(blk, rel=1e-12)
 
 
 class TestStepCost:
@@ -196,6 +197,6 @@ class TestTotalCost:
         s2 = build_schedule(Architecture.AR, toy_cfg, wl(gen=9))
         joined = DecodeSchedule(arch=Architecture.AR, batch=1, steps=s1.steps + s2.steps)
         lhs = total_cost(joined, toy_cfg, toy_hw).decode
-        rhs = total_cost(s1, toy_cfg, toy_hw).decode + total_cost(s2, toy_cfg, toy_hw).decode
-        assert lhs.flops == pytest.approx(rhs.flops, rel=1e-15)
-        assert lhs.mops == pytest.approx(rhs.mops, rel=1e-15)
+        a, b = (total_cost(s, toy_cfg, toy_hw).decode for s in (s1, s2))
+        assert lhs.flops == pytest.approx(a.flops + b.flops, rel=1e-15)
+        assert lhs.mops == pytest.approx(a.mops + b.mops, rel=1e-15)

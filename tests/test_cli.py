@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from rooflm.cli import main
+from rooflm.config import load_hardware_file, load_model_file, load_workload_file
+from rooflm.sweep import SweepSpec, csv_text, run_sweep
 
 
 @pytest.fixture
@@ -52,19 +55,38 @@ class TestAnalyze:
         assert "intensity source: schedule" in out
 
     def test_csv_output(self, capsys, config_files, tmp_path):
-        csv_path = tmp_path / "row.csv"
-        code, _, _ = run(
-            capsys,
-            "analyze",
-            "--model", str(config_files["model"]),
-            "--hardware", str(config_files["hardware"]),
-            "--workload", str(config_files["workload"]),
-            "--csv", str(csv_path),
-        )
-        assert code == 0
-        lines = csv_path.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("arch,accel,batch")
+        arch, cfg = load_model_file(config_files["model"])
+        wl, accel = load_workload_file(config_files["workload"])
+        # 1e9 bytes is below the fixed 2e9-byte runtime overhead, so that point is out of memory
+        for capacity, oom in ((1e12, "false"), (1e9, "true")):
+            config_files["hardware"].write_text(json.dumps({"p_max": 1e12, "b_mem": 1e10, "capacity": capacity}))
+            csv_path = tmp_path / f"row_{oom}.csv"
+            code, out, _ = run(
+                capsys,
+                "analyze",
+                "--model", str(config_files["model"]),
+                "--hardware", str(config_files["hardware"]),
+                "--workload", str(config_files["workload"]),
+                "--csv", str(csv_path),
+            )
+            assert code == 0
+            assert f"oom={oom}" in out
+            assert "throughput: " in out
+            lines = csv_path.read_text().splitlines()
+            assert len(lines) == 2
+            assert lines[0].startswith("arch,accel,batch")
+            assert lines[1].endswith(f",{oom}")
+
+            spec = SweepSpec(
+                architectures=(arch,),
+                gen_lens=(wl.gen_len,),
+                batches=(wl.batch,),
+                prompt_lens=(wl.prompt_len,),
+                accel={arch: accel},
+                models={arch: cfg},
+                hardware=load_hardware_file(config_files["hardware"]),
+            )
+            assert csv_path.read_text() == csv_text(run_sweep(spec))
 
     def test_missing_file_exits_1(self, capsys, config_files, tmp_path):
         code, out, err = run(
@@ -160,6 +182,17 @@ class TestSweep:
         csv = (out_dir / "sweep.csv").read_text()
         assert len(csv.splitlines()) == 1 + 3 * 2 * 2 * 2
 
+    @pytest.mark.parametrize(
+        "doc", [{"architectures": ["Foo"]}, {"accel": {"Foo": {"tpf": 2}}}], ids=["architectures", "accel"]
+    )
+    def test_unknown_architecture_exits_2(self, capsys, tmp_path, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert "error [unknown_architecture]" in err
+
     def test_bad_spec_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"batches": [4, 2]}))
@@ -175,7 +208,11 @@ class TestOracleCheckCommand:
         assert code == 0
         assert err == ""
         assert "overall: PASS" in out
-        assert (out_dir / "oracle_report.txt").exists()
+        text = (out_dir / "oracle_report.txt").read_bytes()
+        # the recorded report in perfbench/digests.json
+        assert hashlib.sha256(text).hexdigest() == (
+            "909f771bf0d2b5c5303a11771755e24c1ac6bed3d9b8e9131ea195f90284b39d"
+        )
         csv = (out_dir / "oracle_report.csv").read_text()
         assert csv.splitlines()[0] == (
             "config,variable,point,analytic,oracle,ratio,exponent_analytic,exponent_oracle,verdict"

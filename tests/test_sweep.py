@@ -65,7 +65,7 @@ class TestGrid:
         rows = run_sweep(tight)
         oom_rows = [r for r in rows if r.memory.oom]
         assert oom_rows, "expected the tiny-capacity sweep to hit OOM"
-        assert all(r.estimate is None for r in oom_rows)
+        assert all(r.throughput is None for r in oom_rows)
         assert len(rows) == 3 * 2 * 2 * 2
 
     def test_spec_validation(self):
