@@ -21,7 +21,7 @@ from .config import (
 from .memory import MemoryReport, estimate_memory
 from .oracle import OperatorCost, count_forward, count_schedule, oracle_check
 from .roofline import Regime, RooflinePoint, attainable_performance, ridge_point
-from .schedule import DecodeSchedule, StepDescriptor, build_schedule
+from .schedule import DecodeSchedule, PhaseSums, StepDescriptor, build_schedule
 from .sweep import SweepRow, SweepSpec, compare_acceleration, emit_csv, emit_svg, run_sweep
 from .throughput import (
     IntensitySource,
@@ -43,6 +43,7 @@ __all__ = [
     "ModelConfig",
     "NO_ACCELERATION",
     "OperatorCost",
+    "PhaseSums",
     "Regime",
     "RooflinePoint",
     "ScheduleCost",

@@ -10,6 +10,11 @@ Counting conventions (a matmul of shapes (s x k) @ (k x m) costs 2*s*k*m):
   weights read once per pass (N elements), K/V traffic 2*d*L_ctx per layer
   per sequence, activations c_act*s*d per layer per sequence (c_act = 4).
 
+A schedule's totals are linear in four sums over each phase's passes (count,
+sum of s, sum of s*L_ctx, sum of L_ctx; see ``schedule.PhaseSums``), so
+``total_cost`` evaluates them in O(1) whatever the number of decode steps,
+and equals the sum of ``step_cost`` over the expanded steps.
+
 The ``published_*`` functions are a separate family: they evaluate the
 published per-architecture intensity estimates verbatim, including their AR
 numerator B*N and alpha^2 FFN term, which differ from the step-cost
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from math import fsum
 
 from .config import Architecture, HardwareSpec, ModelConfig, Workload
-from .schedule import DecodeSchedule, StepDescriptor
+from .schedule import DecodeSchedule, PhaseSums, StepDescriptor
 
 # activation read/write traffic per active token, in units of d elements
 ACTIVATION_TRAFFIC_ELEMS = 4
@@ -147,23 +152,35 @@ def step_cost(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batch: i
     FLOPs = B*n_l*(8*s*d^2 + 4*s*L_ctx*d + 4*alpha*s*d^2)
     MOPs  = bytes_per_element*(N + B*n_l*2*d*L_ctx + c_act*B*n_l*s*d)
     """
-    s, ctx = step.active_tokens, step.context_len
+    return _phase_cost(cfg, PhaseSums.of((step,)), hw, batch)
+
+
+def _phase_cost(cfg: ModelConfig, sums: PhaseSums, hw: HardwareSpec, batch: int = 1) -> CostBreakdown:
+    """Sum of ``step_cost`` over the passes summarized by ``sums``.
+
+    Each integer sum is converted to float once and scaled in ``step_cost``'s
+    coefficient order. Where every product is exact in binary (dyadic alpha,
+    power-of-two d, sums below 2**53), each component is the correctly
+    rounded total, as the ``fsum`` of the per-step costs is; elsewhere the
+    two differ by rounding only.
+    """
+    s, s_ctx, ctx = float(sums.active), float(sums.active_context), float(sums.context)
     d, n_l = cfg.d, cfg.n_l
     bpe = hw.bytes_per_element
     return CostBreakdown(
         projection_flops=batch * n_l * 8.0 * s * d**2,
-        attention_flops=batch * n_l * 4.0 * s * ctx * d,
+        attention_flops=batch * n_l * 4.0 * s_ctx * d,
         ffn_flops=batch * n_l * 4.0 * cfg.alpha * s * d**2,
-        weights_read=bpe * cfg.n_params,
+        weights_read=bpe * cfg.n_params * sums.passes,
         kv_read_write=bpe * batch * n_l * 2.0 * d * ctx,
         activation_io=bpe * ACTIVATION_TRAFFIC_ELEMS * batch * n_l * s * d,
     )
 
 
 def total_cost(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:
-    """Component-wise sum of step costs; prefill accumulated separately."""
+    """Decode and prefill costs of ``schedule`` from its phase sums, in O(1)."""
     batch = schedule.batch
     return ScheduleCost(
-        decode=_sum_costs(step_cost(cfg, s, hw, batch) for s in schedule.decode_steps),
-        prefill=_sum_costs(step_cost(cfg, s, hw, batch) for s in schedule.prefill_steps),
+        decode=_phase_cost(cfg, schedule.decode, hw, batch),
+        prefill=_phase_cost(cfg, schedule.prefill, hw, batch),
     )

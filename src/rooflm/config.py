@@ -4,12 +4,17 @@ JSON documents use exactly the short field names of the underlying notation
 (``n_l``, ``n_h``, ``n_d``, ``d``, ``alpha``, ``N``, ``G`` for models;
 ``p_max``, ``b_mem``, ``capacity``, ``bytes_per_element`` for hardware;
 ``batch``, ``prompt_len``, ``gen_len`` for workloads). Unknown fields are
-rejected in strict mode and warned about in lenient mode.
+rejected in strict mode and warned about in lenient mode. Every known field
+must have its JSON type: an integer field takes neither ``true`` nor ``2.0``,
+a number field takes no string and no NaN or Infinity, and a flag takes only
+``true`` or ``false``; a violation is a ``wrong_type`` or ``non_finite_field``
+issue.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -160,7 +165,9 @@ def validate_workload(wl: Workload) -> Workload:
 
 def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
     issues = []
-    if accel.tpf < 1.0:
+    if not math.isfinite(accel.tpf):
+        issues.append(("non_finite_field", f"tpf must be finite, got {accel.tpf!r}"))
+    elif accel.tpf < 1.0:
         issues.append(("non_positive_field", f"tpf must be >= 1, got {accel.tpf!r}"))
     if accel.dual_cache and (not isinstance(accel.dual_cache_block, int) or accel.dual_cache_block < 1):
         issues.append(("non_positive_field", f"dual_cache_block must be an integer >= 1, got {accel.dual_cache_block!r}"))
@@ -174,83 +181,116 @@ def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
 # ---------------------------------------------------------------------------
 # JSON ingestion
 
-def _check_fields(data: Mapping[str, Any], allowed: tuple[str, ...], what: str, strict: bool) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if not unknown:
-        return
-    if strict:
+# value kind -> (accepted Python types, what the message asks for); a bool is
+# accepted only where a bool is asked for, although bool is a subclass of int
+_KINDS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a finite number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    list: ((list, tuple), "an array"),
+    dict: (Mapping, "a JSON object"),
+}
+
+
+def _typed_value(name: str, value: Any, kind: type, issues: list) -> Any:
+    """``value`` if it is of JSON ``kind`` (a number as a finite float), else None with an issue appended."""
+    types, expected = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        issues.append(("wrong_type", f"{name} must be {expected}, got {value!r}"))
+        return None
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            issues.append(("non_finite_field", f"{name} must be {expected}, got {value!r}"))
+            return None
+    return value
+
+
+def json_object(data: Any, what: str) -> Mapping[str, Any]:
+    """``data`` if it is a JSON object, else a ``wrong_type`` error naming ``what``."""
+    issues: list = []
+    _typed_value(what, data, dict, issues)
+    if issues:
+        raise ConfigValidationError(issues)
+    return data
+
+
+def json_array(data: Mapping[str, Any], name: str, kind: type) -> tuple:
+    """``data[name]`` as a tuple, if it is an array whose items are all of JSON ``kind``."""
+    issues: list = []
+    values = _typed_value(name, data[name], list, issues) or ()
+    items = tuple(_typed_value(f"{name}[{i}]", v, kind, issues) for i, v in enumerate(values))
+    if issues:
+        raise ConfigValidationError(issues)
+    return items
+
+
+def _read(data: Any, kinds: Mapping[str, type], required: tuple[str, ...], what: str, strict: bool) -> dict[str, Any]:
+    """The fields of a ``what`` config document, each checked against its kind."""
+    data = json_object(data, f"{what} config")
+    unknown = sorted(set(data) - set(kinds))
+    if unknown and strict:
         raise ConfigValidationError(
-            [("unknown_field", f"unknown field {k!r} in {what} config (allowed: {', '.join(allowed)})") for k in unknown]
+            [("unknown_field", f"unknown field {k!r} in {what} config (allowed: {', '.join(kinds)})") for k in unknown]
         )
     for k in unknown:
         warnings.warn(f"ignoring unknown field {k!r} in {what} config", stacklevel=3)
-
-
-def _require(data: Mapping[str, Any], keys: tuple[str, ...], what: str) -> None:
-    missing = [k for k in keys if k not in data]
+    missing = [k for k in required if k not in data]
     if missing:
         raise ConfigValidationError(
             [("missing_field", f"missing required field {k!r} in {what} config") for k in missing]
         )
+    issues: list = []
+    fields = {k: _typed_value(k, data[k], kind, issues) for k, kind in kinds.items() if k in data}
+    if issues:
+        raise ConfigValidationError(issues)
+    return fields
 
 
-_MODEL_FIELDS = ("arch", "n_l", "n_h", "n_d", "d", "alpha", "N", "G")
+_MODEL_FIELDS = {"arch": str, "n_l": int, "n_h": int, "n_d": int, "d": int, "alpha": float, "N": float, "G": int}
 
 
 def model_config_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Architecture, ModelConfig]:
-    _check_fields(data, _MODEL_FIELDS, "model", strict)
-    _require(data, ("arch", "n_l", "n_h", "n_d", "d", "alpha"), "model")
-    arch = architecture_from_name(data["arch"])
+    f = _read(data, _MODEL_FIELDS, ("arch", "n_l", "n_h", "n_d", "d", "alpha"), "model", strict)
+    arch = architecture_from_name(f["arch"])
     cfg = ModelConfig(
-        n_l=data["n_l"],
-        n_h=data["n_h"],
-        n_d=data["n_d"],
-        d=data["d"],
-        alpha=float(data["alpha"]),
-        n_params=float(data["N"]) if "N" in data else 0.0,
-        block_size=data.get("G"),
+        n_l=f["n_l"],
+        n_h=f["n_h"],
+        n_d=f["n_d"],
+        d=f["d"],
+        alpha=f["alpha"],
+        n_params=f.get("N", 0.0),
+        block_size=f.get("G"),
     )
-    if "N" not in data:
+    if "N" not in f:
         cfg = replace(cfg, n_params=derive_param_count(cfg))
     return arch, validate_model_config(cfg, arch)
 
 
-_HARDWARE_FIELDS = ("p_max", "b_mem", "capacity", "bytes_per_element")
+_HARDWARE_FIELDS = {"p_max": float, "b_mem": float, "capacity": float, "bytes_per_element": int}
 
 
 def hardware_from_dict(data: Mapping[str, Any], strict: bool = True) -> HardwareSpec:
-    _check_fields(data, _HARDWARE_FIELDS, "hardware", strict)
-    _require(data, ("p_max", "b_mem", "capacity"), "hardware")
-    hw = HardwareSpec(
-        p_max=float(data["p_max"]),
-        b_mem=float(data["b_mem"]),
-        capacity=float(data["capacity"]),
-        bytes_per_element=data.get("bytes_per_element", 2),
-    )
-    return validate_hardware(hw)
+    f = _read(data, _HARDWARE_FIELDS, ("p_max", "b_mem", "capacity"), "hardware", strict)
+    return validate_hardware(HardwareSpec(**f))
 
 
-_WORKLOAD_FIELDS = ("batch", "prompt_len", "gen_len", "accel")
-_ACCEL_FIELDS = ("tpf", "dual_cache", "dual_cache_block", "cache_refresh_interval")
+_WORKLOAD_FIELDS = {"batch": int, "prompt_len": int, "gen_len": int, "accel": dict}
+_ACCEL_FIELDS = {"tpf": float, "dual_cache": bool, "dual_cache_block": int, "cache_refresh_interval": int}
 
 
 def acceleration_from_dict(data: Mapping[str, Any], strict: bool = True) -> AccelerationConfig:
-    _check_fields(data, _ACCEL_FIELDS, "acceleration", strict)
-    defaults = AccelerationConfig()
-    accel = AccelerationConfig(
-        tpf=float(data.get("tpf", 1.0)),
-        dual_cache=bool(data.get("dual_cache", False)),
-        dual_cache_block=data.get("dual_cache_block", defaults.dual_cache_block),
-        cache_refresh_interval=data.get("cache_refresh_interval", defaults.cache_refresh_interval),
-    )
-    return validate_acceleration(accel)
+    return validate_acceleration(AccelerationConfig(**_read(data, _ACCEL_FIELDS, (), "acceleration", strict)))
 
 
 def workload_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Workload, AccelerationConfig]:
-    _check_fields(data, _WORKLOAD_FIELDS, "workload", strict)
-    _require(data, ("batch", "prompt_len", "gen_len"), "workload")
-    wl = Workload(batch=data["batch"], prompt_len=data["prompt_len"], gen_len=data["gen_len"])
-    accel = acceleration_from_dict(data["accel"], strict) if "accel" in data else NO_ACCELERATION
+    f = _read(data, _WORKLOAD_FIELDS, ("batch", "prompt_len", "gen_len"), "workload", strict)
+    wl = Workload(batch=f["batch"], prompt_len=f["prompt_len"], gen_len=f["gen_len"])
+    accel = acceleration_from_dict(f["accel"], strict) if "accel" in f else NO_ACCELERATION
     return validate_workload(wl), accel
 
 

@@ -5,7 +5,8 @@ kv cache    bytes_per_element * 2 * n_l * d * L * B   (AR and block diffusion;
             DLM holds K/V only when dual cache is on, sized to the full L)
 activations bytes_per_element * c_mem * n_l * s_max * d * B, with s_max the
             widest decode forward pass (the whole sequence for a vanilla DLM,
-            one block for block diffusion, the tokens-per-step for AR)
+            one block for block diffusion, the tokens-per-step for AR), read
+            from the schedule's closed-form decode sums in O(1)
 
 Prefill passes are excluded from s_max: prompt encoding is transient and
 chunkable, while the decode loop sets the steady-state high-water mark.

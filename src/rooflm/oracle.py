@@ -109,10 +109,10 @@ def _accumulate(steps, cfg, hw, batch) -> CostBreakdown:
 
 def count_schedule(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:
     """Sum of count_forward over all steps, decode and prefill separated."""
-    batch = schedule.batch
+    batch, steps = schedule.batch, schedule.steps
     return ScheduleCost(
-        decode=_accumulate(schedule.decode_steps, cfg, hw, batch),
-        prefill=_accumulate(schedule.prefill_steps, cfg, hw, batch),
+        decode=_accumulate((s for s in steps if not s.is_prefill), cfg, hw, batch),
+        prefill=_accumulate((s for s in steps if s.is_prefill), cfg, hw, batch),
     )
 
 

@@ -1,7 +1,6 @@
 """Decode-schedule construction for the three architecture families.
 
-A schedule is an ordered list of forward-pass descriptors that fully
-determines cost:
+A schedule is the sequence of forward passes of one generation request:
 
 * AR decodes one token per step (``tpf`` of them under parallel decoding),
   attending over a growing KV-cached context.
@@ -11,13 +10,20 @@ determines cost:
   active window to a fixed block, with periodic full-sequence refresh passes.
 * Block diffusion walks blocks of size G left to right, denoising each block
   with G full-block steps while reading the finalized prefix from cache.
+
+Every cost is linear in a few sums over a phase's passes (see ``PhaseSums``),
+so ``build_schedule`` computes those sums in closed form, with integer
+arithmetic, in O(1) whatever the generation length. The passes themselves,
+one ``StepDescriptor`` each, are expanded only on demand by
+``DecodeSchedule.steps`` (O(decode steps)), for the per-operator oracle and
+for inspection.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .config import (
     AccelerationConfig,
@@ -39,11 +45,64 @@ class StepDescriptor(NamedTuple):
     finalized_tokens: int   # tokens newly finalized this pass, per sequence
 
 
+class PhaseSums(NamedTuple):
+    """Sums over the passes of one phase, with s the active tokens and ctx the context.
+
+    Every pass has cached_kv_len = ctx - s, so these sums determine every
+    FLOP and byte total of the phase.
+    """
+
+    passes: int = 0
+    active: int = 0          # sum of s
+    active_context: int = 0  # sum of s * ctx
+    context: int = 0         # sum of ctx
+    max_active: int = 0      # largest s, 0 for an empty phase
+
+    @classmethod
+    def of(cls, steps: Iterable[StepDescriptor]) -> PhaseSums:
+        """The sums of explicitly listed passes."""
+        passes = active = active_context = context = max_active = 0
+        for step in steps:
+            s, ctx = step.active_tokens, step.context_len
+            passes += 1
+            active += s
+            active_context += s * ctx
+            context += ctx
+            max_active = max(max_active, s)
+        return cls(passes, active, active_context, context, max_active)
+
+    @classmethod
+    def uniform(cls, count: int, s: int, ctx: int) -> PhaseSums:
+        """``count`` passes of ``s`` active tokens over ``ctx`` context tokens."""
+        return cls(count, count * s, count * s * ctx, count * ctx, s if count else 0)
+
+
 @dataclass(frozen=True)
 class DecodeSchedule:
+    """One request's forward passes: closed-form sums per phase, steps on demand."""
+
     arch: Architecture
     batch: int
-    steps: tuple[StepDescriptor, ...]
+    decode: PhaseSums
+    prefill: PhaseSums
+    expand: Callable[[], Iterator[StepDescriptor]] = field(repr=False, compare=False)
+
+    @classmethod
+    def from_steps(cls, arch: Architecture, batch: int, steps: Iterable[StepDescriptor]) -> DecodeSchedule:
+        """A schedule of explicitly listed passes."""
+        steps = tuple(steps)
+        return cls(
+            arch=arch,
+            batch=batch,
+            decode=PhaseSums.of(s for s in steps if not s.is_prefill),
+            prefill=PhaseSums.of(s for s in steps if s.is_prefill),
+            expand=partial(iter, steps),
+        )
+
+    @property
+    def steps(self) -> tuple[StepDescriptor, ...]:
+        """Every forward pass in order, expanded on demand in O(decode steps)."""
+        return tuple(self.expand())
 
     @property
     def decode_steps(self) -> tuple[StepDescriptor, ...]:
@@ -55,15 +114,15 @@ class DecodeSchedule:
 
     @property
     def decode_step_count(self) -> int:
-        return sum(1 for s in self.steps if not s.is_prefill)
+        return self.decode.passes
 
     @property
     def finalized_total(self) -> int:
-        return sum(s.finalized_tokens for s in self.steps if not s.is_prefill)
+        return sum(s.finalized_tokens for s in self.decode_steps)
 
     @property
     def max_decode_active(self) -> int:
-        return max(s.active_tokens for s in self.steps if not s.is_prefill)
+        return self.decode.max_active
 
 
 # Finalization quotas use a small tolerance so rational tpf values such as 3.1
@@ -71,80 +130,169 @@ class DecodeSchedule:
 _QUOTA_EPS = 1e-6
 
 
-def _quota(i: int, tpf: float, total: int) -> int:
-    return min(total, int(math.floor(i * tpf + _QUOTA_EPS)))
+def _quota_line(tpf: float) -> tuple[int, int, int]:
+    """Integers (a, b, m) with floor(i*tpf + eps) = (a*i + b) // m exactly.
+
+    The quota is evaluated on the exact binary values of ``tpf`` and the
+    tolerance, so the closed forms and the step expansion agree for every tpf.
+    """
+    tpf_num, tpf_den = tpf.as_integer_ratio()
+    eps_num, eps_den = _QUOTA_EPS.as_integer_ratio()
+    return tpf_num * eps_den, eps_num * tpf_den, tpf_den * eps_den
 
 
 def _step_count(tokens: int, tpf: float) -> int:
-    """Smallest k with quota(k) >= tokens; equals ceil(tokens / tpf)."""
-    if tpf == 1.0:
-        return tokens
-    k = max(1, int(math.ceil(tokens / tpf - 1e-9)))
-    while _quota(k, tpf, tokens) < tokens:
-        k += 1
-    while k > 1 and _quota(k - 1, tpf, tokens) >= tokens:
-        k -= 1
-    return k
+    """Smallest k >= 1 with floor(k*tpf + eps) >= tokens; about ceil(tokens / tpf)."""
+    a, b, m = _quota_line(tpf)
+    return max(1, -((b - tokens * m) // a))
 
 
-def _finalized_sizes(tokens: int, steps: int, tpf: float) -> list[int]:
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a*i + b) // m over i in [0, n), for n >= 0, m >= 1, a, b >= 0, in O(log m) steps."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def _finalized_sizes(tokens: int, steps: int, tpf: float) -> Iterator[int]:
     """Per-step finalized-token counts over ``steps`` passes, summing to ``tokens``.
 
     With tpf = 1 this is [1] * tokens; a partial trailing quota is truncated.
     When ``steps`` exceeds what the quota needs (a partial final block ran its
     nominal step count), trailing steps finalize zero tokens.
     """
-    sizes = []
+    a, b, m = _quota_line(tpf)
     prev = 0
     for i in range(1, steps + 1):
-        cur = _quota(i, tpf, tokens)
-        sizes.append(cur - prev)
+        cur = min(tokens, (a * i + b) // m)
+        yield cur - prev
         prev = cur
-    sizes[-1] += tokens - prev  # guard: quotas always reach the total
-    return sizes
 
 
-def _ar_steps(wl: Workload, tpf: float) -> list[StepDescriptor]:
-    steps = _step_count(wl.gen_len, tpf)
-    out = []
+# ---------------------------------------------------------------------------
+# Closed-form phase sums
+
+def _ar_sums(wl: Workload, tpf: float) -> PhaseSums:
+    """Sums of the AR decode passes: the i-th of k finalizes s_i tokens at context P + Q_i.
+
+    Q_i = floor(i*tpf + eps) for i < k and Q_k = G, so the sizes before the
+    last are all floor(tpf) or floor(tpf) + 1, and
+    sum s_i*Q_i = (G^2 + sum s_i^2) / 2 because Q_i^2 - Q_{i-1}^2 = 2*s_i*Q_i - s_i^2.
+    """
+    gen, prompt = wl.gen_len, wl.prompt_len
+    a, b, m = _quota_line(tpf)
+    k = _step_count(gen, tpf)
+    head = k - 1                         # passes before the last
+    head_tokens = (a * head + b) // m    # Q_{k-1}
+    low = a // m                         # floor(tpf)
+    high_count = head_tokens - head * low
+    last = gen - head_tokens
+    squares = head * low * low + high_count * (2 * low + 1) + last * last
+    return PhaseSums(
+        passes=k,
+        active=gen,
+        active_context=prompt * gen + (gen * gen + squares) // 2,
+        context=k * prompt + _floor_sum(k, m, a, b) + gen,
+        max_active=max(last, low + 1 if high_count else low if head else 0),
+    )
+
+
+def _dlm_sums(wl: Workload, accel: AccelerationConfig) -> PhaseSums:
+    """k full-sequence passes; dual cache runs k window passes plus ceil(k/interval) refreshes."""
+    seq = wl.total_len
+    k = _step_count(wl.gen_len, accel.tpf)
+    if not accel.dual_cache:
+        return PhaseSums.uniform(k, seq, seq)
+    window = min(accel.dual_cache_block, seq)
+    refreshes = -(-k // accel.cache_refresh_interval)
+    return PhaseSums(
+        passes=refreshes + k,
+        active=refreshes * seq + k * window,
+        active_context=refreshes * seq * seq + k * window * seq,
+        context=(refreshes + k) * seq,
+        max_active=seq,
+    )
+
+
+def _block_sums(wl: Workload, block_size: int, tpf: float) -> PhaseSums:
+    """Each block runs n passes of (block tokens, prefix + block tokens).
+
+    The q full blocks have contexts P + j*G for j = 1..q; a partial final
+    block of r tokens runs the same n passes at context P + gen.
+    """
+    n = _step_count(block_size, tpf)
+    full, rem = divmod(wl.gen_len, block_size)
+    end = wl.total_len
+    full_context = full * wl.prompt_len + block_size * full * (full + 1) // 2
+    return PhaseSums(
+        passes=n * (full + (rem > 0)),
+        active=n * wl.gen_len,
+        active_context=n * (block_size * full_context + rem * end),
+        context=n * (full_context + (end if rem else 0)),
+        max_active=block_size if full else rem,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Step expansion
+
+def _ar_steps(wl: Workload, tpf: float) -> Iterator[StepDescriptor]:
     done = 0
-    for size in _finalized_sizes(wl.gen_len, steps, tpf):
+    for size in _finalized_sizes(wl.gen_len, _step_count(wl.gen_len, tpf), tpf):
         done += size
         ctx = wl.prompt_len + done
-        out.append(StepDescriptor(size, ctx, ctx - size, False, size))
-    return out
+        yield StepDescriptor(size, ctx, ctx - size, False, size)
 
 
-def _dlm_steps(wl: Workload, accel: AccelerationConfig) -> list[StepDescriptor]:
+def _dlm_steps(wl: Workload, accel: AccelerationConfig) -> Iterator[StepDescriptor]:
     seq = wl.total_len
-    steps = _step_count(wl.gen_len, accel.tpf)
-    sizes = _finalized_sizes(wl.gen_len, steps, accel.tpf)
+    sizes = _finalized_sizes(wl.gen_len, _step_count(wl.gen_len, accel.tpf), accel.tpf)
     if not accel.dual_cache:
-        return [StepDescriptor(seq, seq, 0, False, size) for size in sizes]
+        for size in sizes:
+            yield StepDescriptor(seq, seq, 0, False, size)
+        return
     window = min(accel.dual_cache_block, seq)
-    out = []
     for j, size in enumerate(sizes):
         if j % accel.cache_refresh_interval == 0:
             # full re-encode; builds the prefix+suffix cache for the next cycle
-            out.append(StepDescriptor(seq, seq, 0, False, 0))
-        out.append(StepDescriptor(window, seq, seq - window, False, size))
-    return out
+            yield StepDescriptor(seq, seq, 0, False, 0)
+        yield StepDescriptor(window, seq, seq - window, False, size)
 
 
-def _block_steps(wl: Workload, block_size: int, tpf: float) -> list[StepDescriptor]:
-    out = []
+def _block_steps(wl: Workload, block_size: int, tpf: float) -> Iterator[StepDescriptor]:
     prefix = wl.prompt_len
     remaining = wl.gen_len
     steps_per_block = _step_count(block_size, tpf)
     while remaining > 0:
         tokens = min(block_size, remaining)
         ctx = prefix + tokens
-        sizes = _finalized_sizes(tokens, steps_per_block, tpf)
-        for size in sizes:
-            out.append(StepDescriptor(tokens, ctx, prefix, False, size))
+        for size in _finalized_sizes(tokens, steps_per_block, tpf):
+            yield StepDescriptor(tokens, ctx, prefix, False, size)
         prefix += tokens
         remaining -= tokens
-    return out
+
+
+def _steps(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig) -> Iterator[StepDescriptor]:
+    if arch is Architecture.DLM:
+        # the prompt is re-encoded on every denoising pass; no separate prefill
+        yield from _dlm_steps(wl, accel)
+        return
+    if wl.prompt_len > 0:
+        yield StepDescriptor(wl.prompt_len, wl.prompt_len, 0, True, 0)
+    if arch is Architecture.AR:
+        yield from _ar_steps(wl, accel.tpf)
+    else:
+        yield from _block_steps(wl, block_size, accel.tpf)
 
 
 def build_schedule(
@@ -153,21 +301,23 @@ def build_schedule(
     wl: Workload,
     accel: AccelerationConfig = NO_ACCELERATION,
 ) -> DecodeSchedule:
-    """Deterministic forward-pass schedule for one generation request."""
+    """Deterministic forward-pass schedule for one generation request, in O(1)."""
     validate_model_config(cfg, arch)
     validate_workload(wl)
     validate_acceleration(accel)
 
-    steps: list[StepDescriptor] = []
     if arch is Architecture.AR:
-        if wl.prompt_len > 0:
-            steps.append(StepDescriptor(wl.prompt_len, wl.prompt_len, 0, True, 0))
-        steps.extend(_ar_steps(wl, accel.tpf))
+        decode = _ar_sums(wl, accel.tpf)
     elif arch is Architecture.DLM:
-        # the prompt is re-encoded on every denoising pass; no separate prefill
-        steps.extend(_dlm_steps(wl, accel))
+        decode = _dlm_sums(wl, accel)
     else:
-        if wl.prompt_len > 0:
-            steps.append(StepDescriptor(wl.prompt_len, wl.prompt_len, 0, True, 0))
-        steps.extend(_block_steps(wl, cfg.block_size, accel.tpf))
-    return DecodeSchedule(arch=arch, batch=wl.batch, steps=tuple(steps))
+        decode = _block_sums(wl, cfg.block_size, accel.tpf)
+    has_prefill = arch is not Architecture.DLM and wl.prompt_len > 0
+    prefill = PhaseSums.uniform(1, wl.prompt_len, wl.prompt_len) if has_prefill else PhaseSums()
+    return DecodeSchedule(
+        arch=arch,
+        batch=wl.batch,
+        decode=decode,
+        prefill=prefill,
+        expand=partial(_steps, arch, cfg.block_size, wl, accel),
+    )

@@ -28,6 +28,8 @@ from .config import (
     acceleration_from_dict,
     architecture_from_name,
     hardware_from_dict,
+    json_array,
+    json_object,
     model_config_from_dict,
     validate_model_config,
 )
@@ -116,6 +118,7 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     may be omitted and defaults to the key); ``accel`` maps architecture name
     to an acceleration document; ``hardware`` is an inline hardware document.
     """
+    data = json_object(data, "sweep spec")
     unknown = sorted(set(data) - set(_SPEC_FIELDS))
     if unknown and strict:
         raise ConfigValidationError(
@@ -124,21 +127,21 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
 
     kwargs = {}
     if "architectures" in data:
-        kwargs["architectures"] = tuple(architecture_from_name(a) for a in data["architectures"])
+        kwargs["architectures"] = tuple(architecture_from_name(a) for a in json_array(data, "architectures", str))
     for name in ("gen_lens", "batches", "prompt_lens"):
         if name in data:
-            kwargs[name] = tuple(data[name])
+            kwargs[name] = json_array(data, name, int)
     if "models" in data:
         models = {}
-        for arch_name, doc in data["models"].items():
-            doc = dict(doc)
-            doc.setdefault("arch", arch_name)
+        for arch_name, doc in json_object(data["models"], "models").items():
+            doc = {"arch": arch_name, **json_object(doc, f"models[{arch_name!r}]")}
             arch, cfg = model_config_from_dict(doc, strict)
             models[arch] = cfg
         kwargs["models"] = models
     if "accel" in data:
         kwargs["accel"] = {
-            architecture_from_name(a): acceleration_from_dict(doc, strict) for a, doc in data["accel"].items()
+            architecture_from_name(a): acceleration_from_dict(doc, strict)
+            for a, doc in json_object(data["accel"], "accel").items()
         }
     if "hardware" in data:
         kwargs["hardware"] = hardware_from_dict(data["hardware"], strict)

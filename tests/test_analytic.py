@@ -195,7 +195,7 @@ class TestTotalCost:
     def test_additive_over_concatenation(self, toy_cfg, toy_hw):
         s1 = build_schedule(Architecture.AR, toy_cfg, wl(gen=5))
         s2 = build_schedule(Architecture.AR, toy_cfg, wl(gen=9))
-        joined = DecodeSchedule(arch=Architecture.AR, batch=1, steps=s1.steps + s2.steps)
+        joined = DecodeSchedule.from_steps(Architecture.AR, 1, s1.steps + s2.steps)
         lhs = total_cost(joined, toy_cfg, toy_hw).decode
         a, b = (total_cost(s, toy_cfg, toy_hw).decode for s in (s1, s2))
         assert lhs.flops == pytest.approx(a.flops + b.flops, rel=1e-15)

@@ -126,6 +126,36 @@ class TestAnalyze:
         assert code == 2
         assert "dimension_mismatch" in err
 
+    @pytest.mark.parametrize(
+        "kind,key,value,error_code",
+        [
+            ("hardware", "p_max", float("nan"), "non_finite_field"),
+            ("hardware", "p_max", float("inf"), "non_finite_field"),
+            ("hardware", "p_max", "abc", "wrong_type"),
+            ("accel", "tpf", float("nan"), "non_finite_field"),
+            ("workload", "batch", True, "wrong_type"),
+            ("accel", "dual_cache", "false", "wrong_type"),
+        ],
+        ids=["p_max_nan", "p_max_infinity", "p_max_string", "tpf_nan", "batch_bool", "dual_cache_string"],
+    )
+    def test_mistyped_or_non_finite_field_exits_2(self, capsys, config_files, tmp_path, kind, key, value, error_code):
+        files = dict(config_files)
+        doc_kind = "workload" if kind == "accel" else kind
+        doc = json.loads(files[doc_kind].read_text())
+        (doc.setdefault("accel", {}) if kind == "accel" else doc)[key] = value
+        files[doc_kind] = tmp_path / f"bad_{doc_kind}.json"
+        files[doc_kind].write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--model", str(files["model"]),
+            "--hardware", str(files["hardware"]),
+            "--workload", str(files["workload"]),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error [{error_code}]: {key} must be" in err
+
     def test_unknown_field_lenient_warns_on_stderr(self, capsys, config_files, tmp_path):
         odd = tmp_path / "odd.json"
         odd.write_text(
@@ -192,6 +222,20 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "error [unknown_architecture]" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [5, {"gen_lens": ["a"]}, {"gen_lens": 5}, {"models": {"AR": 3}}, {"batches": [True]}],
+        ids=["number", "string_item", "number_list", "number_model", "bool_item"],
+    )
+    def test_mistyped_spec_exits_2(self, capsys, tmp_path, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert "error [wrong_type]: " in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_spec_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
