@@ -16,6 +16,7 @@ from pathlib import Path
 from .analytic import length_regime
 from .config import (
     load_hardware_file,
+    load_json,
     load_model_file,
     load_workload_file,
 )
@@ -90,10 +91,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _check_files_exist([args.spec])
-    data = {}
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = load_json(args.spec) if args.spec else {}
     spec = sweep_spec_from_dict(data, not args.lenient_config, extended_lengths=args.extended_lengths)
     rows = run_sweep(spec, source=_source(args), include_prefill=args.include_prefill)
     written = emit_report_set(rows, args.out_dir, spec)

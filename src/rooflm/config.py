@@ -8,7 +8,8 @@ rejected in strict mode and warned about in lenient mode. Every known field
 must have its JSON type: an integer field takes neither ``true`` nor ``2.0``,
 a number field takes no string and no NaN or Infinity, and a flag takes only
 ``true`` or ``false``; a violation is a ``wrong_type`` or ``non_finite_field``
-issue.
+issue. An integer above ``MAX_INTEGER`` (2**53) is an ``out_of_range`` issue:
+up to that bound every closed-form sum of a schedule still fits in a float.
 """
 
 from __future__ import annotations
@@ -181,6 +182,9 @@ def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
 # ---------------------------------------------------------------------------
 # JSON ingestion
 
+# largest accepted integer field; every integer up to it is exact as a float
+MAX_INTEGER = 2**53
+
 # value kind -> (accepted Python types, what the message asks for); a bool is
 # accepted only where a bool is asked for, although bool is a subclass of int
 _KINDS = {
@@ -198,6 +202,9 @@ def _typed_value(name: str, value: Any, kind: type, issues: list) -> Any:
     types, expected = _KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         issues.append(("wrong_type", f"{name} must be {expected}, got {value!r}"))
+        return None
+    if kind is int and value > MAX_INTEGER:
+        issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
         return None
     if kind is float:
         try:
@@ -296,7 +303,12 @@ def workload_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Wo
 
 def load_json(path: str | Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # an integer literal beyond Python's digit limit
+            raise ConfigValidationError([("out_of_range", f"{path}: {exc}")]) from None
 
 
 def load_model_file(path: str | Path, strict: bool = True) -> tuple[Architecture, ModelConfig]:

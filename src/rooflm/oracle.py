@@ -2,7 +2,11 @@
 
 Every forward pass is expanded into its individual operators (projections,
 attention score/value matmuls, FFN halves, cache traffic, weight and
-activation movement) and summed. The enumeration (``count_forward``,
+activation movement) and summed. ``count_schedule`` reads every pass of the
+expanded schedule but enumerates each distinct pass once, entering each
+operator value into its component's ``fsum`` as many times as the pass
+occurs; ``fsum`` is exact whatever the order of its terms, so the totals are
+the correctly rounded per-pass sums. The enumeration (``count_forward``,
 ``count_schedule``) never calls into the closed-form cost paths; the checks
 call both sides to arbitrate them. ``oracle_check`` sweeps one variable,
 fits log-log scaling exponents from both sources, and verifies that the
@@ -15,7 +19,9 @@ the modeled scales, and absent from the scaling claims being checked).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -96,23 +102,28 @@ _BYTE_COMPONENT = {
 }
 
 
-def _accumulate(steps, cfg, hw, batch) -> CostBreakdown:
+def _accumulate(counts, cfg, hw, batch) -> CostBreakdown:
     parts: dict[str, list[float]] = {name: [] for name in CostBreakdown().components}
-    for step in steps:
+    for step, n in counts:
         for op in count_forward(cfg, step, hw, batch):
             if op.flops:
-                parts[_FLOP_COMPONENT[op.op_name]].append(op.flops)
+                parts[_FLOP_COMPONENT[op.op_name]].extend(repeat(op.flops, n))
             if op.bytes:
-                parts[_BYTE_COMPONENT[op.op_name]].append(op.bytes)
+                parts[_BYTE_COMPONENT[op.op_name]].extend(repeat(op.bytes, n))
     return CostBreakdown(**{name: fsum(vals) for name, vals in parts.items()})
 
 
 def count_schedule(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:
-    """Sum of count_forward over all steps, decode and prefill separated."""
-    batch, steps = schedule.batch, schedule.steps
+    """Sum of count_forward over all steps, decode and prefill separated.
+
+    Each distinct pass is enumerated once and its operator values weighted by
+    the number of times it occurs; the sums stay exact, equal to the ``fsum``
+    over every pass.
+    """
+    batch, counts = schedule.batch, Counter(schedule.steps).items()
     return ScheduleCost(
-        decode=_accumulate((s for s in steps if not s.is_prefill), cfg, hw, batch),
-        prefill=_accumulate((s for s in steps if s.is_prefill), cfg, hw, batch),
+        decode=_accumulate(((s, n) for s, n in counts if not s.is_prefill), cfg, hw, batch),
+        prefill=_accumulate(((s, n) for s, n in counts if s.is_prefill), cfg, hw, batch),
     )
 
 

@@ -270,16 +270,17 @@ def _dlm_steps(wl: Workload, accel: AccelerationConfig) -> Iterator[StepDescript
 
 
 def _block_steps(wl: Workload, block_size: int, tpf: float) -> Iterator[StepDescriptor]:
+    n = _step_count(block_size, tpf)
+    full, rem = divmod(wl.gen_len, block_size)
+    # every full block finalizes the same sizes; only a partial final block differs
+    blocks = [(block_size, tuple(_finalized_sizes(block_size, n, tpf)))] * full
+    if rem:
+        blocks.append((rem, _finalized_sizes(rem, n, tpf)))
     prefix = wl.prompt_len
-    remaining = wl.gen_len
-    steps_per_block = _step_count(block_size, tpf)
-    while remaining > 0:
-        tokens = min(block_size, remaining)
-        ctx = prefix + tokens
-        for size in _finalized_sizes(tokens, steps_per_block, tpf):
-            yield StepDescriptor(tokens, ctx, prefix, False, size)
+    for tokens, sizes in blocks:
+        for size in sizes:
+            yield StepDescriptor(tokens, prefix + tokens, prefix, False, size)
         prefix += tokens
-        remaining -= tokens
 
 
 def _steps(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig) -> Iterator[StepDescriptor]:

@@ -33,7 +33,7 @@ from .config import (
     model_config_from_dict,
     validate_model_config,
 )
-from .errors import ConfigValidationError, EmptyRowSet, KeyMismatch
+from .errors import ConfigValidationError, EmptyRowSet, KeyMismatch, NonPositiveIntensity
 from .memory import MemoryReport, estimate_memory
 from .presets import (
     A800_CLASS,
@@ -182,9 +182,27 @@ def evaluate_point(
     source: IntensitySource,
     include_prefill: bool,
 ) -> SweepRow:
-    """Memory verdict and throughput estimate of one grid point."""
-    memory = estimate_memory(arch, cfg, hw, wl, accel)
-    est = estimate_throughput(arch, cfg, hw, wl, accel, source=source, include_prefill=include_prefill)
+    """Memory verdict and throughput estimate of one grid point.
+
+    Valid inputs far beyond any real model can take a total past the float
+    range; such a point is an ``out_of_range`` error, never a row holding an
+    infinite or NaN number.
+    """
+    try:
+        memory = estimate_memory(arch, cfg, hw, wl, accel)
+        est = estimate_throughput(arch, cfg, hw, wl, accel, source=source, include_prefill=include_prefill)
+        finite = all(map(math.isfinite, (
+            memory.total_bytes, est.flops_total, est.mops_total, est.arint, est.ridge,
+            est.attainable, est.flops_per_token, est.tokens_per_second,
+        )))
+    except (OverflowError, NonPositiveIntensity):  # a total overflowed, or the intensity underflowed to 0
+        finite = False
+    if not finite:
+        raise ConfigValidationError([(
+            "out_of_range",
+            f"{arch.value} at batch={wl.batch} prompt_len={wl.prompt_len} gen_len={wl.gen_len}: "
+            "a FLOP, byte or rate total is beyond the float range",
+        )])
     return SweepRow(
         arch=arch,
         accel_label=accel.label,

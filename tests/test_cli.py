@@ -1,7 +1,13 @@
 import hashlib
+import io
 import json
+import math
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rooflm.cli import main
 from rooflm.config import load_hardware_file, load_model_file, load_workload_file
@@ -135,8 +141,12 @@ class TestAnalyze:
             ("accel", "tpf", float("nan"), "non_finite_field"),
             ("workload", "batch", True, "wrong_type"),
             ("accel", "dual_cache", "false", "wrong_type"),
+            ("workload", "gen_len", 10**111, "out_of_range"),
+            ("workload", "batch", 10**111, "out_of_range"),
+            ("workload", "prompt_len", 10**111, "out_of_range"),
         ],
-        ids=["p_max_nan", "p_max_infinity", "p_max_string", "tpf_nan", "batch_bool", "dual_cache_string"],
+        ids=["p_max_nan", "p_max_infinity", "p_max_string", "tpf_nan", "batch_bool", "dual_cache_string",
+             "gen_len_huge", "batch_huge", "prompt_len_huge"],
     )
     def test_mistyped_or_non_finite_field_exits_2(self, capsys, config_files, tmp_path, kind, key, value, error_code):
         files = dict(config_files)
@@ -156,6 +166,19 @@ class TestAnalyze:
         assert out == ""
         assert f"error [{error_code}]: {key} must be" in err
 
+    def test_integer_beyond_digit_limit_exits_2(self, capsys, config_files):
+        config_files["workload"].write_text('{"batch": 1, "prompt_len": 0, "gen_len": 1%s}' % ("0" * 5000))
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--model", str(config_files["model"]),
+            "--hardware", str(config_files["hardware"]),
+            "--workload", str(config_files["workload"]),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error [out_of_range]: " in err
+
     def test_unknown_field_lenient_warns_on_stderr(self, capsys, config_files, tmp_path):
         odd = tmp_path / "odd.json"
         odd.write_text(
@@ -172,6 +195,85 @@ class TestAnalyze:
         assert code == 0
         assert "note" in err
         assert "note" not in out
+
+
+# a valid document spans each field's whole accepted range: integers up to the
+# 2**53 bound (n_h and n_d to 2**26, so that d = n_h * n_d stays within it) and
+# every positive finite number, from the smallest subnormal to the largest double
+COUNT = st.integers(1, 2**53)
+HEAD = st.integers(1, 2**26)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# what replaces a field: integers past the bound or below zero, or any JSON value
+ODD = st.sampled_from([0, -1, 2**53 + 1, 10**111, 10**400]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda items: st.lists(items, max_size=3) | st.dictionaries(st.text(max_size=4), items, max_size=3),
+    max_leaves=4,
+)
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|\bnan\b|\binf\b)", re.IGNORECASE)
+
+
+@st.composite
+def analyze_documents(draw):
+    """Model, hardware and workload documents: valid, then up to two fields replaced or dropped."""
+    n_h, n_d = draw(HEAD), draw(HEAD)
+    docs = {
+        "model": {
+            "arch": draw(st.sampled_from(["AR", "DLM", "BlockDiffusion"])),
+            "n_l": draw(COUNT), "n_h": n_h, "n_d": n_d, "d": n_h * n_d,
+            "alpha": draw(POSITIVE), "N": draw(POSITIVE), "G": draw(COUNT),
+        },
+        "hardware": {
+            "p_max": draw(POSITIVE), "b_mem": draw(POSITIVE), "capacity": draw(POSITIVE),
+            "bytes_per_element": draw(st.sampled_from([1, 2, 4, 8])),
+        },
+        "workload": {
+            "batch": draw(COUNT), "prompt_len": draw(st.integers(0, 2**53)), "gen_len": draw(COUNT),
+            "accel": {
+                "tpf": draw(st.floats(1.0, 16.0) | st.floats(min_value=1.0, allow_infinity=False)),
+                "dual_cache": draw(st.booleans()),
+                "dual_cache_block": draw(COUNT), "cache_refresh_interval": draw(COUNT),
+            },
+        },
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        doc = docs[draw(st.sampled_from(sorted(docs)))]
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(ODD)
+    return docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=analyze_documents(), source=st.sampled_from(["schedule", "published"]))
+@example(
+    docs={
+        "model": {"arch": "DLM", "n_l": 2, "n_h": 2, "n_d": 4, "d": 8, "alpha": 4, "N": 1000},
+        "hardware": {"p_max": 1e12, "b_mem": 1e10, "capacity": 1e12},
+        "workload": {"batch": 1, "prompt_len": 0, "gen_len": 10**111},
+    },
+    source="schedule",
+)
+def test_analyze_fuzz_exits_0_or_2_with_finite_output(tmp_path_factory, docs, source):
+    """Any JSON documents end in exit 0 printing only finite numbers, or in exit 2 with a diagnostic."""
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = ["analyze", "--intensity-source", source]
+    for kind, doc in docs.items():
+        path = work / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{kind}", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), err
+    if code == 0:
+        assert out and err == ""
+        assert all(math.isfinite(float(tok)) for tok in NUMBER.findall(out)), out
+    else:
+        assert out == ""
+        assert err.startswith("error [")
 
 
 class TestRidge:

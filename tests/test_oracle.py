@@ -3,11 +3,12 @@ from dataclasses import replace
 from math import fsum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rooflm import analytic
-from rooflm.config import Architecture, HardwareSpec, ModelConfig, Workload
+from rooflm.analytic import CostBreakdown
+from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.errors import ExponentMismatch
 from rooflm.oracle import (
     OP_NAMES,
@@ -122,6 +123,64 @@ class TestCountSchedule:
                 want = getattr(ana, phase).components
                 for name, value in getattr(orc, phase).components.items():
                     assert value == pytest.approx(want[name], rel=1e-15), (arch, phase, name)
+
+
+# the cost component each operator's FLOPs or bytes belong to
+COMPONENT = {
+    "qkv_proj": "projection_flops",
+    "out_proj": "projection_flops",
+    "attn_scores": "attention_flops",
+    "attn_value": "attention_flops",
+    "ffn_up": "ffn_flops",
+    "ffn_down": "ffn_flops",
+    "kv_cache_read": "kv_read_write",
+    "kv_cache_write": "kv_read_write",
+    "weight_read": "weights_read",
+    "activation_io": "activation_io",
+}
+# alpha = 3.3 and a fractional N make the per-operator values round
+ROUNDING_CFG = ModelConfig(n_l=3, n_h=2, n_d=8, d=16, alpha=3.3, n_params=8123.7)
+
+
+def _fsum_every_pass(sched, cfg, prefill):
+    """Per component, the fsum of count_forward over every pass of one phase, one pass at a time."""
+    parts = {name: [] for name in CostBreakdown().components}
+    for step in sched.steps:
+        if step.is_prefill == prefill:
+            for op in count_forward(cfg, step, HW, sched.batch):
+                parts[COMPONENT[op.op_name]].append(op.flops + op.bytes)  # one of the two is 0
+    return {name: fsum(values) for name, values in parts.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arch=st.sampled_from(list(Architecture)),
+    block_size=st.integers(1, 24),
+    wl=st.builds(Workload, batch=st.integers(1, 8), prompt_len=st.just(0) | st.integers(1, 64),
+                 gen_len=st.integers(1, 160)),
+    accel=st.builds(
+        AccelerationConfig,
+        tpf=st.sampled_from((1.0, 3.1, 7.3)),
+        dual_cache=st.booleans(),
+        dual_cache_block=st.integers(1, 100),
+        cache_refresh_interval=st.integers(1, 9),
+    ),
+)
+@example(Architecture.AR, 4, Workload(2, 0, 97), AccelerationConfig())
+@example(Architecture.AR, 4, Workload(1, 5, 100), AccelerationConfig(tpf=7.3))
+# 17 window passes at tpf 3.1 over refresh cycles of 4: the last cycle is partial
+@example(Architecture.DLM, 4, Workload(3, 0, 50), AccelerationConfig(tpf=3.1, dual_cache=True, dual_cache_block=8,
+                                                                     cache_refresh_interval=4))
+@example(Architecture.DLM, 4, Workload(1, 7, 31), AccelerationConfig())
+# 53 = 8 * 6 + 5: a partial final block of 5 tokens
+@example(Architecture.BLOCK_DIFFUSION, 6, Workload(1, 9, 53), AccelerationConfig(tpf=7.3))
+@example(Architecture.BLOCK_DIFFUSION, 6, Workload(2, 0, 53), AccelerationConfig(tpf=3.1))
+def test_grouped_passes_equal_every_pass_fsum(arch, block_size, wl, accel):
+    cfg = replace(ROUNDING_CFG, block_size=block_size)
+    sched = build_schedule(arch, cfg, wl, accel)
+    grouped = count_schedule(sched, cfg, HW)
+    for phase, prefill in (("decode", False), ("prefill", True)):
+        assert getattr(grouped, phase).components == _fsum_every_pass(sched, cfg, prefill), phase
 
 
 class TestOracleCheck:
