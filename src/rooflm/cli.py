@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -125,7 +126,12 @@ def _cmd_ridge(args) -> int:
         hw = load_hardware_file(args.hardware, not args.lenient_config)
     else:
         hw = A800_CLASS
-    print(f"{ridge_point(hw):.6g}")
+    ridge = ridge_point(hw)
+    if not (math.isfinite(ridge) and ridge > 0):  # p_max / b_mem overflowed or underflowed
+        raise ConfigValidationError([(
+            "out_of_range", f"ridge point p_max / b_mem = {hw.p_max!r} / {hw.b_mem!r} is beyond the float range",
+        )])
+    print(f"{ridge:.6g}")
     return EXIT_OK
 
 

@@ -2,11 +2,15 @@
 
 Every forward pass is expanded into its individual operators (projections,
 attention score/value matmuls, FFN halves, cache traffic, weight and
-activation movement) and summed. ``count_schedule`` reads every pass of the
-expanded schedule but enumerates each distinct pass once, entering each
-operator value into its component's ``fsum`` as many times as the pass
-occurs; ``fsum`` is exact whatever the order of its terms, so the totals are
-the correctly rounded per-pass sums. The enumeration (``count_forward``,
+activation movement) and summed. ``count_schedule`` reads the schedule as
+runs of equal consecutive passes (``DecodeSchedule.expand``), evaluates the
+operators once per run and enters each value into its component's ``fsum``
+as many times as the run is long; ``fsum`` is exact whatever the order of
+its terms, so the totals are the correctly rounded per-pass sums. The
+operator formulas live in one place, ``_forward_values``, which computes the
+part of each product that does not depend on the pass once per schedule, in
+the same left-to-right order, so every value is the same float as the
+formula written out in full. The enumeration (``count_forward``,
 ``count_schedule``) never calls into the closed-form cost paths; the checks
 call both sides to arbitrate them. ``oracle_check`` sweeps one variable,
 fits log-log scaling exponents from both sources, and verifies that the
@@ -19,7 +23,7 @@ the modeled scales, and absent from the scaling claims being checked).
 
 from __future__ import annotations
 
-from collections import Counter
+import io
 from dataclasses import dataclass
 from itertools import repeat
 from math import fsum
@@ -37,7 +41,7 @@ from .config import (
 )
 from .errors import ConstantDrift, ExponentMismatch
 from .roofline import attainable_performance
-from .schedule import DecodeSchedule, StepDescriptor, build_schedule
+from .schedule import DecodeSchedule, Run, StepDescriptor, build_schedule
 from .throughput import fit_exponent, vary
 
 EXCLUDED_OPERATORS = ("softmax", "layernorm", "embedding_lookup")
@@ -56,75 +60,106 @@ OP_NAMES = (
 )
 
 
+# the cost component of each operator; the first _FLOP_OPERATORS of OP_NAMES
+# count FLOPs, the rest bytes
+_COMPONENT = {
+    "qkv_proj": "projection_flops",
+    "attn_scores": "attention_flops",
+    "attn_value": "attention_flops",
+    "out_proj": "projection_flops",
+    "ffn_up": "ffn_flops",
+    "ffn_down": "ffn_flops",
+    "kv_cache_read": "kv_read_write",
+    "kv_cache_write": "kv_read_write",
+    "weight_read": "weights_read",
+    "activation_io": "activation_io",
+}
+_FLOP_OPERATORS = 6
+
+
 class OperatorCost(NamedTuple):
     op_name: str
     flops: float
     bytes: float
 
 
-def count_forward(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batch: int = 1) -> list[OperatorCost]:
-    """Enumerate one forward pass, one entry per operator kind.
+def _forward_values(cfg: ModelConfig, hw: HardwareSpec, batch: int) -> Callable[[StepDescriptor], tuple]:
+    """The function from a pass to its ten operator values, in OP_NAMES order.
 
-    Each entry is totaled across layers and the batch. Weights are read once
+    Each value is totaled across layers and the batch. Weights are read once
     per pass regardless of batch; everything else is per sequence per layer.
+    The products are the formulas below evaluated left to right; only their
+    pass-independent leading factors are computed here, once:
+
+        qkv_proj        bl * 6.0 * s * d**2
+        attn_scores     bl * 2.0 * s * ctx * d
+        attn_value      bl * 2.0 * s * ctx * d
+        out_proj        bl * 2.0 * s * d**2
+        ffn_up          bl * 2.0 * s * d * (a * d)
+        ffn_down        bl * 2.0 * s * (a * d) * d
+        kv_cache_read   bpe * bl * 2.0 * d * cached
+        kv_cache_write  bpe * bl * 2.0 * d * s
+        weight_read     bpe * N
+        activation_io   bpe * ACTIVATION_TRAFFIC_ELEMS * bl * s * d
     """
-    s, ctx, cached = step.active_tokens, step.context_len, step.cached_kv_len
-    d, n_l, a = cfg.d, cfg.n_l, cfg.alpha
+    d, d_sq, ad = cfg.d, cfg.d**2, cfg.alpha * cfg.d
     bpe = hw.bytes_per_element
-    bl = batch * n_l
+    bl = batch * cfg.n_l
+    qkv, matmul = bl * 6.0, bl * 2.0
+    kv = bpe * bl * 2.0 * d
+    weights = bpe * cfg.n_params
+    activations = bpe * ACTIVATION_TRAFFIC_ELEMS * bl
+
+    def values(step: StepDescriptor) -> tuple:
+        s = step.active_tokens
+        ms = matmul * s
+        attention = ms * step.context_len * d
+        return (
+            qkv * s * d_sq,
+            attention,
+            attention,
+            ms * d_sq,
+            ms * d * ad,
+            ms * ad * d,
+            kv * step.cached_kv_len,
+            kv * s,
+            weights,
+            activations * s * d,
+        )
+
+    return values
+
+
+def count_forward(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batch: int = 1) -> list[OperatorCost]:
+    """Enumerate one forward pass, one entry per operator kind (see ``_forward_values``)."""
     return [
-        OperatorCost("qkv_proj", bl * 6.0 * s * d**2, 0.0),
-        OperatorCost("attn_scores", bl * 2.0 * s * ctx * d, 0.0),
-        OperatorCost("attn_value", bl * 2.0 * s * ctx * d, 0.0),
-        OperatorCost("out_proj", bl * 2.0 * s * d**2, 0.0),
-        OperatorCost("ffn_up", bl * 2.0 * s * d * (a * d), 0.0),
-        OperatorCost("ffn_down", bl * 2.0 * s * (a * d) * d, 0.0),
-        OperatorCost("kv_cache_read", 0.0, bpe * bl * 2.0 * d * cached),
-        OperatorCost("kv_cache_write", 0.0, bpe * bl * 2.0 * d * s),
-        OperatorCost("weight_read", 0.0, bpe * cfg.n_params),
-        OperatorCost("activation_io", 0.0, bpe * ACTIVATION_TRAFFIC_ELEMS * bl * s * d),
+        OperatorCost(name, value, 0.0) if i < _FLOP_OPERATORS else OperatorCost(name, 0.0, value)
+        for i, (name, value) in enumerate(zip(OP_NAMES, _forward_values(cfg, hw, batch)(step)))
     ]
 
 
-_FLOP_COMPONENT = {
-    "qkv_proj": "projection_flops",
-    "out_proj": "projection_flops",
-    "attn_scores": "attention_flops",
-    "attn_value": "attention_flops",
-    "ffn_up": "ffn_flops",
-    "ffn_down": "ffn_flops",
-}
-_BYTE_COMPONENT = {
-    "kv_cache_read": "kv_read_write",
-    "kv_cache_write": "kv_read_write",
-    "weight_read": "weights_read",
-    "activation_io": "activation_io",
-}
-
-
-def _accumulate(counts, cfg, hw, batch) -> CostBreakdown:
+def _accumulate(runs: list[Run], values: Callable[[StepDescriptor], tuple]) -> CostBreakdown:
     parts: dict[str, list[float]] = {name: [] for name in CostBreakdown().components}
-    for step, n in counts:
-        for op in count_forward(cfg, step, hw, batch):
-            if op.flops:
-                parts[_FLOP_COMPONENT[op.op_name]].extend(repeat(op.flops, n))
-            if op.bytes:
-                parts[_BYTE_COMPONENT[op.op_name]].extend(repeat(op.bytes, n))
+    sinks = [parts[_COMPONENT[op]].extend for op in OP_NAMES]
+    for step, n in runs:
+        for sink, value in zip(sinks, values(step)):
+            if value:
+                sink(repeat(value, n))
     return CostBreakdown(**{name: fsum(vals) for name, vals in parts.items()})
 
 
 def count_schedule(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:
     """Sum of count_forward over all steps, decode and prefill separated.
 
-    Each distinct pass is enumerated once and its operator values weighted by
-    the number of times it occurs; the sums stay exact, equal to the ``fsum``
+    The operators are evaluated once per run of equal passes and their values
+    weighted by the run's length; the sums stay exact, equal to the ``fsum``
     over every pass.
     """
-    batch, counts = schedule.batch, Counter(schedule.steps).items()
-    return ScheduleCost(
-        decode=_accumulate(((s, n) for s, n in counts if not s.is_prefill), cfg, hw, batch),
-        prefill=_accumulate(((s, n) for s, n in counts if s.is_prefill), cfg, hw, batch),
-    )
+    phases: dict[bool, list[Run]] = {False: [], True: []}
+    for run in schedule.expand():
+        phases[run[0].is_prefill].append(run)
+    values = _forward_values(cfg, hw, schedule.batch)
+    return ScheduleCost(decode=_accumulate(phases[False], values), prefill=_accumulate(phases[True], values))
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +172,10 @@ RATIO_TOLERANCE = 0.10
 
 # toy-scale bounds keep enumeration instant
 _MAX_NL, _MAX_D, _MAX_L = 8, 128, 4096
+
+
+# the columns of a report's CSV; ``check`` is ``metric/variable``
+_CSV_HEADER = ("check", "point", "analytic", "oracle", "ratio", "exponent_analytic", "exponent_oracle", "verdict")
 
 
 class PointSample(NamedTuple):
@@ -216,16 +255,25 @@ class OracleReport:
         lines.append(f"overall: {self.verdict}")
         return "\n".join(lines) + "\n"
 
+    def csv_rows(self) -> list[tuple[str, ...]]:
+        """One row per sampled point, in the columns of ``_CSV_HEADER``."""
+        return [
+            (f"{c.metric}/{c.variable}", str(p.value), f"{p.analytic:.6g}", f"{p.oracle:.6g}", f"{p.ratio:.6g}",
+             f"{c.exponent_analytic:.6g}", f"{c.exponent_oracle:.6g}", c.verdict)
+            for c in self.checks
+            for p in c.points
+        ]
+
     def to_csv(self) -> str:
-        rows = ["variable,point,analytic,oracle,ratio,exponent_analytic,exponent_oracle,verdict"]
-        for c in self.checks:
-            tag = f"{c.metric}/{c.variable}"
-            for p in c.points:
-                rows.append(
-                    f"{tag},{p.value},{p.analytic:.6g},{p.oracle:.6g},{p.ratio:.6g},"
-                    f"{c.exponent_analytic:.6g},{c.exponent_oracle:.6g},{c.verdict}"
-                )
-        return "\n".join(rows) + "\n"
+        return _csv_text([_CSV_HEADER, *self.csv_rows()])
+
+
+def _csv_text(rows: Sequence[Sequence[str]]) -> str:
+    import csv  # here, not at the top: only the CSV writers need it, and every command pays for module imports
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _metric_pairs(
@@ -383,11 +431,8 @@ def battery_report(reports: Sequence[tuple[str, OracleReport]]) -> tuple[str, st
     The text joins the reports' ``to_text`` under ``=== label ===`` headers;
     the CSV prefixes every report's rows with a ``config`` column.
     """
-    blocks, csv_lines = [], []
+    blocks, rows = [], [("config", *_CSV_HEADER)]
     for label, report in reports:
         blocks.append(f"=== {label} ===\n{report.to_text()}")
-        header, *body = report.to_csv().splitlines()
-        if not csv_lines:
-            csv_lines.append("config," + header)
-        csv_lines.extend(f"{label},{line}" for line in body)
-    return "\n".join(blocks), "\n".join(csv_lines) + "\n"
+        rows.extend((label, *row) for row in report.csv_rows())
+    return "\n".join(blocks), _csv_text(rows)

@@ -13,16 +13,21 @@ A schedule is the sequence of forward passes of one generation request:
 
 Every cost is linear in a few sums over a phase's passes (see ``PhaseSums``),
 so ``build_schedule`` computes those sums in closed form, with integer
-arithmetic, in O(1) whatever the generation length. The passes themselves,
-one ``StepDescriptor`` each, are expanded only on demand by
-``DecodeSchedule.steps`` (O(decode steps)), for the per-operator oracle and
-for inspection.
+arithmetic, in O(1) whatever the generation length. The passes themselves
+are expanded only on demand, by ``DecodeSchedule.expand``, as runs: a
+``StepDescriptor`` and the number of consecutive passes equal to it. At an
+integer tpf a DLM phase is at most three runs (full quota, remainder, zero
+tail), a block-diffusion block at most three, and a dual-cache refresh cycle
+one refresh run plus its window runs; AR contexts grow on every pass, so its
+runs are single passes. The per-operator oracle reads the runs;
+``DecodeSchedule.steps`` lists every pass, for inspection and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .config import (
@@ -77,32 +82,35 @@ class PhaseSums(NamedTuple):
         return cls(count, count * s, count * s * ctx, count * ctx, s if count else 0)
 
 
+Run = tuple[StepDescriptor, int]  # a pass and how many times in a row it occurs, >= 1
+
+
 @dataclass(frozen=True)
 class DecodeSchedule:
-    """One request's forward passes: closed-form sums per phase, steps on demand."""
+    """One request's forward passes: closed-form sums per phase, runs of passes on demand."""
 
     arch: Architecture
     batch: int
     decode: PhaseSums
     prefill: PhaseSums
-    expand: Callable[[], Iterator[StepDescriptor]] = field(repr=False, compare=False)
+    expand: Callable[[], Iterator[Run]] = field(repr=False, compare=False)
 
     @classmethod
     def from_steps(cls, arch: Architecture, batch: int, steps: Iterable[StepDescriptor]) -> DecodeSchedule:
-        """A schedule of explicitly listed passes."""
+        """A schedule of explicitly listed passes, each its own run."""
         steps = tuple(steps)
         return cls(
             arch=arch,
             batch=batch,
             decode=PhaseSums.of(s for s in steps if not s.is_prefill),
             prefill=PhaseSums.of(s for s in steps if s.is_prefill),
-            expand=partial(iter, steps),
+            expand=lambda: ((step, 1) for step in steps),
         )
 
     @property
     def steps(self) -> tuple[StepDescriptor, ...]:
-        """Every forward pass in order, expanded on demand in O(decode steps)."""
-        return tuple(self.expand())
+        """Every forward pass in order, expanded on demand in O(passes)."""
+        return tuple(chain.from_iterable(repeat(step, n) for step, n in self.expand()))
 
     @property
     def decode_steps(self) -> tuple[StepDescriptor, ...]:
@@ -118,7 +126,7 @@ class DecodeSchedule:
 
     @property
     def finalized_total(self) -> int:
-        return sum(s.finalized_tokens for s in self.decode_steps)
+        return sum(step.finalized_tokens * n for step, n in self.expand() if not step.is_prefill)
 
     @property
     def max_decode_active(self) -> int:
@@ -177,6 +185,23 @@ def _finalized_sizes(tokens: int, steps: int, tpf: float) -> Iterator[int]:
         cur = min(tokens, (a * i + b) // m)
         yield cur - prev
         prev = cur
+
+
+def _size_runs(tokens: int, steps: int, tpf: float) -> Iterator[tuple[int, int]]:
+    """``_finalized_sizes`` as (size, count) runs of equal consecutive sizes.
+
+    ``steps`` is at least what the quota needs to finalize ``tokens``. At an
+    integer tpf every quota is exactly i*tpf, so the sizes are tpf (full
+    quotas), then the remainder, then zeros: at most three runs, in O(1).
+    """
+    if not tpf.is_integer():
+        for size, group in groupby(_finalized_sizes(tokens, steps, tpf)):
+            yield size, sum(1 for _ in group)
+        return
+    full, rem = divmod(tokens, int(tpf))
+    for size, count in ((int(tpf), full), (rem, 1 if rem else 0), (0, steps - full - (rem > 0))):
+        if count:
+            yield size, count
 
 
 # ---------------------------------------------------------------------------
@@ -244,56 +269,64 @@ def _block_sums(wl: Workload, block_size: int, tpf: float) -> PhaseSums:
 
 
 # ---------------------------------------------------------------------------
-# Step expansion
+# Run expansion
 
-def _ar_steps(wl: Workload, tpf: float) -> Iterator[StepDescriptor]:
-    done = 0
+def _ar_runs(wl: Workload, tpf: float) -> Iterator[Run]:
+    ctx = wl.prompt_len
     for size in _finalized_sizes(wl.gen_len, _step_count(wl.gen_len, tpf), tpf):
-        done += size
-        ctx = wl.prompt_len + done
-        yield StepDescriptor(size, ctx, ctx - size, False, size)
+        ctx += size
+        yield StepDescriptor(size, ctx, ctx - size, False, size), 1
 
 
-def _dlm_steps(wl: Workload, accel: AccelerationConfig) -> Iterator[StepDescriptor]:
+def _dlm_runs(wl: Workload, accel: AccelerationConfig) -> Iterator[Run]:
     seq = wl.total_len
-    sizes = _finalized_sizes(wl.gen_len, _step_count(wl.gen_len, accel.tpf), accel.tpf)
+    sizes = _size_runs(wl.gen_len, _step_count(wl.gen_len, accel.tpf), accel.tpf)
     if not accel.dual_cache:
-        for size in sizes:
-            yield StepDescriptor(seq, seq, 0, False, size)
+        for size, count in sizes:
+            yield StepDescriptor(seq, seq, 0, False, size), count
         return
     window = min(accel.dual_cache_block, seq)
-    for j, size in enumerate(sizes):
-        if j % accel.cache_refresh_interval == 0:
-            # full re-encode; builds the prefix+suffix cache for the next cycle
-            yield StepDescriptor(seq, seq, 0, False, 0)
-        yield StepDescriptor(window, seq, seq - window, False, size)
+    # a full re-encode opens every cycle of cache_refresh_interval window passes
+    # and builds the prefix+suffix cache for it
+    refresh = StepDescriptor(seq, seq, 0, False, 0)
+    room = 0  # window passes left in the current cycle
+    for size, count in sizes:
+        step = StepDescriptor(window, seq, seq - window, False, size)
+        while count:
+            if not room:
+                yield refresh, 1
+                room = accel.cache_refresh_interval
+            n = min(count, room)
+            yield step, n
+            count -= n
+            room -= n
 
 
-def _block_steps(wl: Workload, block_size: int, tpf: float) -> Iterator[StepDescriptor]:
+def _block_runs(wl: Workload, block_size: int, tpf: float) -> Iterator[Run]:
     n = _step_count(block_size, tpf)
     full, rem = divmod(wl.gen_len, block_size)
     # every full block finalizes the same sizes; only a partial final block differs
-    blocks = [(block_size, tuple(_finalized_sizes(block_size, n, tpf)))] * full
+    blocks = [(block_size, tuple(_size_runs(block_size, n, tpf)))] * full
     if rem:
-        blocks.append((rem, _finalized_sizes(rem, n, tpf)))
+        blocks.append((rem, _size_runs(rem, n, tpf)))
     prefix = wl.prompt_len
     for tokens, sizes in blocks:
-        for size in sizes:
-            yield StepDescriptor(tokens, prefix + tokens, prefix, False, size)
+        for size, count in sizes:
+            yield StepDescriptor(tokens, prefix + tokens, prefix, False, size), count
         prefix += tokens
 
 
-def _steps(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig) -> Iterator[StepDescriptor]:
+def _runs(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig) -> Iterator[Run]:
     if arch is Architecture.DLM:
         # the prompt is re-encoded on every denoising pass; no separate prefill
-        yield from _dlm_steps(wl, accel)
+        yield from _dlm_runs(wl, accel)
         return
     if wl.prompt_len > 0:
-        yield StepDescriptor(wl.prompt_len, wl.prompt_len, 0, True, 0)
+        yield StepDescriptor(wl.prompt_len, wl.prompt_len, 0, True, 0), 1
     if arch is Architecture.AR:
-        yield from _ar_steps(wl, accel.tpf)
+        yield from _ar_runs(wl, accel.tpf)
     else:
-        yield from _block_steps(wl, block_size, accel.tpf)
+        yield from _block_runs(wl, block_size, accel.tpf)
 
 
 def build_schedule(
@@ -320,5 +353,5 @@ def build_schedule(
         batch=wl.batch,
         decode=decode,
         prefill=prefill,
-        expand=partial(_steps, arch, cfg.block_size, wl, accel),
+        expand=partial(_runs, arch, cfg.block_size, wl, accel),
     )

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -287,6 +288,19 @@ class TestRidge:
         assert code == 0
         assert out.strip() == "100"
 
+    @pytest.mark.parametrize(
+        "hardware",
+        [{"p_max": 1e308, "b_mem": 1e-10, "capacity": 1e12}, {"p_max": 1e-300, "b_mem": 1e300, "capacity": 1e12}],
+        ids=["overflow", "underflow"],
+    )
+    def test_ridge_beyond_float_range_exits_2(self, capsys, tmp_path, hardware):
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps(hardware))
+        code, out, err = run(capsys, "ridge", "--hardware", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error [out_of_range]: ")
+
 
 class TestSweep:
     def test_writes_report_set(self, capsys, tmp_path):
@@ -359,7 +373,14 @@ class TestOracleCheckCommand:
         assert hashlib.sha256(text).hexdigest() == (
             "909f771bf0d2b5c5303a11771755e24c1ac6bed3d9b8e9131ea195f90284b39d"
         )
-        csv = (out_dir / "oracle_report.csv").read_text()
-        assert csv.splitlines()[0] == (
-            "config,variable,point,analytic,oracle,ratio,exponent_analytic,exponent_oracle,verdict"
+        with open(out_dir / "oracle_report.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == [
+            "config", "check", "point", "analytic", "oracle", "ratio", "exponent_analytic", "exponent_oracle", "verdict"
+        ]
+        assert len(rows) == 885
+        assert all(len(row) == len(header) for row in rows)
+        assert {"BlockDiffusion n_l=1 d=8 (L,B)", "AR n_l=4 d=128"} <= {row[0] for row in rows}
+        assert hashlib.sha256((out_dir / "oracle_report.csv").read_bytes()).hexdigest() == (
+            "0fda464084ba8913cd63ba21f8cae7452215f28131e6c02fd8779425d78cbb3d"
         )

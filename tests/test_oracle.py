@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rooflm import analytic
-from rooflm.analytic import CostBreakdown
+from rooflm.analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.errors import ExponentMismatch
 from rooflm.oracle import (
@@ -66,6 +66,52 @@ class TestCountForward:
         assert batched == k * base
         assert layered == k * base
         assert scaled == k * base
+
+
+def _literal_operators(cfg, step, hw, batch):
+    """The ten operator values as formulas written out in full, each evaluated left to right."""
+    s, ctx, cached = step.active_tokens, step.context_len, step.cached_kv_len
+    d, n_l, a = cfg.d, cfg.n_l, cfg.alpha
+    bpe = hw.bytes_per_element
+    bl = batch * n_l
+    return [
+        ("qkv_proj", bl * 6.0 * s * d**2, 0.0),
+        ("attn_scores", bl * 2.0 * s * ctx * d, 0.0),
+        ("attn_value", bl * 2.0 * s * ctx * d, 0.0),
+        ("out_proj", bl * 2.0 * s * d**2, 0.0),
+        ("ffn_up", bl * 2.0 * s * d * (a * d), 0.0),
+        ("ffn_down", bl * 2.0 * s * (a * d) * d, 0.0),
+        ("kv_cache_read", 0.0, bpe * bl * 2.0 * d * cached),
+        ("kv_cache_write", 0.0, bpe * bl * 2.0 * d * s),
+        ("weight_read", 0.0, bpe * cfg.n_params),
+        ("activation_io", 0.0, bpe * ACTIVATION_TRAFFIC_ELEMS * bl * s * d),
+    ]
+
+
+# products and partial products past 2**53 round, so a factor taken out of its
+# left-to-right place changes the value
+@settings(max_examples=300, deadline=None)
+@given(
+    n_l=st.integers(1, 64),
+    d=st.integers(1, 2**26),
+    alpha=st.floats(1.0, 16.0),
+    n_params=st.floats(1.0, 1e15),
+    bpe=st.sampled_from((1, 2, 4)),
+    batch=st.integers(1, 8),
+    s=st.integers(1, 2**50),
+    extra=st.integers(0, 2**50),
+    cached=st.booleans(),
+)
+@example(n_l=3, d=16, alpha=3.3, n_params=8123.7, bpe=2, batch=5, s=3, extra=7, cached=True)
+# (bl * 6.0 * s) * d**2 != (bl * 6.0 * d**2) * s here
+@example(n_l=61, d=33_788_082, alpha=3.3, n_params=8123.7, bpe=4, batch=7, s=140_858_649_188_653, extra=12_345,
+         cached=True)
+def test_count_forward_equals_literal_formulas(n_l, d, alpha, n_params, bpe, batch, s, extra, cached):
+    cfg = ModelConfig(n_l=n_l, n_h=1, n_d=d, d=d, alpha=alpha, n_params=n_params)
+    hw = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18, bytes_per_element=bpe)
+    step = StepDescriptor(s, s + extra, extra if cached else 0, False, s)
+    ops = [tuple(op) for op in count_forward(cfg, step, hw, batch)]
+    assert ops == _literal_operators(cfg, step, hw, batch)
 
 
 class TestCountSchedule:
@@ -197,7 +243,7 @@ class TestOracleCheck:
         assert "softmax" in text and "overall" in text
         csv = report.to_csv()
         header = csv.splitlines()[0]
-        assert header == "variable,point,analytic,oracle,ratio,exponent_analytic,exponent_oracle,verdict"
+        assert header == "check,point,analytic,oracle,ratio,exponent_analytic,exponent_oracle,verdict"
         assert len(csv.splitlines()) == 1 + 5 * 4  # five metrics, four batch points
 
     def test_rejects_non_toy_scale(self):

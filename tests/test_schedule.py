@@ -1,11 +1,12 @@
 import math
+from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rooflm.config import AccelerationConfig, Architecture, ModelConfig, Workload
-from rooflm.schedule import StepDescriptor, build_schedule
+from rooflm.schedule import PhaseSums, StepDescriptor, build_schedule
 
 
 def cfg_for(arch, block_size=2):
@@ -161,3 +162,105 @@ class TestProperties:
         sched = build_schedule(Architecture.AR, cfg_for(Architecture.AR), wl)
         for s in sched.decode_steps:
             assert s.cached_kv_len == s.context_len - s.active_tokens
+
+
+run_wl = st.builds(
+    Workload,
+    batch=st.integers(1, 4),
+    prompt_len=st.just(0) | st.integers(1, 40),
+    gen_len=st.integers(1, 200),
+)
+INTEGER_TPF = (1.0, 2.0, 3.0, 7.0)
+
+
+class TestRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arch=small_arch,
+        block=st.integers(1, 24),
+        wl=run_wl,
+        accel=st.builds(
+            AccelerationConfig,
+            tpf=st.sampled_from((1.0, 2.0, 3.1, 7.3)),
+            dual_cache=st.booleans(),
+            dual_cache_block=st.integers(1, 64),
+            cache_refresh_interval=st.integers(1, 9),
+        ),
+    )
+    # 17 window passes at tpf 3 over cycles of 4: the last cycle is partial
+    @example(Architecture.DLM, 4, Workload(1, 0, 50), AccelerationConfig(tpf=3.0, dual_cache=True,
+                                                                         dual_cache_block=8, cache_refresh_interval=4))
+    @example(Architecture.DLM, 4, Workload(2, 9, 50), AccelerationConfig(tpf=3.1, dual_cache=True,
+                                                                         dual_cache_block=8, cache_refresh_interval=4))
+    # 53 = 8 * 6 + 5: a partial final block of 5 tokens, with and without a prompt
+    @example(Architecture.BLOCK_DIFFUSION, 6, Workload(1, 0, 53), AccelerationConfig(tpf=2.0))
+    @example(Architecture.BLOCK_DIFFUSION, 6, Workload(1, 9, 53), AccelerationConfig(tpf=7.3))
+    @example(Architecture.AR, 4, Workload(1, 5, 100), AccelerationConfig(tpf=3.1))
+    def test_runs_are_the_maximal_groups_of_equal_passes(self, arch, block, wl, accel):
+        sched = build_schedule(arch, cfg_for(arch, block), wl, accel)
+        runs = list(sched.expand())
+        assert all(n >= 1 for _, n in runs)
+        assert runs == [(step, len(list(group))) for step, group in groupby(sched.steps)]
+        for sums, prefill in ((sched.decode, False), (sched.prefill, True)):
+            assert sum(n for step, n in runs if step.is_prefill == prefill) == sums.passes
+            assert PhaseSums.of(s for s in sched.steps if s.is_prefill == prefill) == sums
+        assert sched.finalized_total == wl.gen_len
+
+    @settings(max_examples=100, deadline=None)
+    @given(arch=st.sampled_from([Architecture.DLM, Architecture.BLOCK_DIFFUSION]), block=st.integers(1, 24),
+           wl=run_wl, tpf=st.sampled_from(INTEGER_TPF))
+    def test_integer_tpf_finalizes_the_quota(self, arch, block, wl, tpf):
+        # each block (DLM: the whole generation) finalizes min(tokens, i*tpf) tokens in its first i passes
+        t = int(tpf)
+        sched = build_schedule(arch, cfg_for(arch, block), wl, AccelerationConfig(tpf=tpf))
+        steps = sched.decode_steps
+        if arch is Architecture.DLM:
+            assert len(steps) == -(-wl.gen_len // t)
+            blocks = [(wl.gen_len, steps)]
+        else:
+            n = -(-block // t)
+            blocks = [(steps[i].active_tokens, steps[i:i + n]) for i in range(0, len(steps), n)]
+            assert sum(tokens for tokens, _ in blocks) == wl.gen_len
+        for tokens, chunk in blocks:
+            assert [s.finalized_tokens for s in chunk] == [
+                min(tokens, i * t) - min(tokens, (i - 1) * t) for i in range(1, len(chunk) + 1)
+            ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(wl=run_wl, tpf=st.sampled_from(INTEGER_TPF))
+    def test_dlm_integer_tpf_at_most_three_runs(self, wl, tpf):
+        # full quota, remainder, zero tail
+        sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), wl, AccelerationConfig(tpf=tpf))
+        assert len(list(sched.expand())) <= 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(wl=run_wl, tpf=st.sampled_from(INTEGER_TPF), interval=st.integers(1, 9), window=st.integers(1, 64))
+    def test_dual_cache_integer_tpf_two_runs_per_cycle(self, wl, tpf, interval, window):
+        accel = AccelerationConfig(tpf=tpf, dual_cache=True, dual_cache_block=window, cache_refresh_interval=interval)
+        sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), wl, accel)
+        cycles = -(-sched.decode.passes // (interval + 1))
+        # a refresh run and a window run per cycle, and one more where a cycle holds the remainder pass
+        assert 2 * cycles <= len(list(sched.expand())) <= 2 * cycles + 1
+
+    def test_dual_cache_runs_spelled_out(self):
+        accel = AccelerationConfig(tpf=3.0, dual_cache=True, dual_cache_block=8, cache_refresh_interval=4)
+        sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, 50), accel)
+        refresh, window, last = (StepDescriptor(50, 50, 0, False, 0), StepDescriptor(8, 50, 42, False, 3),
+                                 StepDescriptor(8, 50, 42, False, 2))
+        # 16 passes of 3 tokens and one of 2, in cycles of 4 window passes
+        assert list(sched.expand()) == [(refresh, 1), (window, 4)] * 4 + [(refresh, 1), (last, 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(wl=run_wl, tpf=st.sampled_from(INTEGER_TPF), block=st.integers(1, 24))
+    def test_block_diffusion_integer_tpf_runs_per_block(self, wl, tpf, block):
+        sched = build_schedule(
+            Architecture.BLOCK_DIFFUSION, cfg_for(Architecture.BLOCK_DIFFUSION, block), wl, AccelerationConfig(tpf=tpf)
+        )
+        runs = list(sched.expand())
+        decode = [run for run in runs if not run[0].is_prefill]
+        blocks = -(-wl.gen_len // block)
+        assert len(runs) - len(decode) == (wl.prompt_len > 0)
+        assert len({step.cached_kv_len for step, _ in decode}) == blocks  # no run spans two blocks
+        assert len(decode) <= 3 * blocks
+        if block % tpf == 0 and wl.gen_len % block == 0:
+            assert len(decode) == blocks
