@@ -194,7 +194,7 @@ def _size_runs(tokens: int, steps: int, tpf: float) -> Iterator[tuple[int, int]]
     integer tpf every quota is exactly i*tpf, so the sizes are tpf (full
     quotas), then the remainder, then zeros: at most three runs, in O(1).
     """
-    if not tpf.is_integer():
+    if not float(tpf).is_integer():  # tpf may be a Python int
         for size, group in groupby(_finalized_sizes(tokens, steps, tpf)):
             yield size, sum(1 for _ in group)
         return

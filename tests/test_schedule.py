@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rooflm.config import AccelerationConfig, Architecture, ModelConfig, Workload
+from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
+from rooflm.oracle import count_schedule
 from rooflm.schedule import PhaseSums, StepDescriptor, build_schedule
 
 
@@ -205,6 +206,21 @@ class TestRuns:
             assert sum(n for step, n in runs if step.is_prefill == prefill) == sums.passes
             assert PhaseSums.of(s for s in sched.steps if s.is_prefill == prefill) == sums
         assert sched.finalized_total == wl.gen_len
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    @pytest.mark.parametrize("dual_cache", [False, True])
+    def test_int_tpf_expands_and_counts_as_its_float(self, arch, dual_cache):
+        # AccelerationConfig is public; a Python int tpf must behave exactly as the equal float
+        cfg, wl, hw = cfg_for(arch, 6), Workload(2, 9, 53), HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
+        as_int, as_float = (
+            build_schedule(arch, cfg, wl, AccelerationConfig(tpf=tpf, dual_cache=dual_cache, dual_cache_block=8,
+                                                             cache_refresh_interval=4))
+            for tpf in (2, 2.0)
+        )
+        assert list(as_int.expand()) == list(as_float.expand())
+        assert as_int.steps == as_float.steps
+        assert as_int.finalized_total == wl.gen_len
+        assert count_schedule(as_int, cfg, hw) == count_schedule(as_float, cfg, hw)
 
     @settings(max_examples=100, deadline=None)
     @given(arch=st.sampled_from([Architecture.DLM, Architecture.BLOCK_DIFFUSION]), block=st.integers(1, 24),
