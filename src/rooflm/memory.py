@@ -10,8 +10,9 @@ activations bytes_per_element * c_mem * n_l * s_max * d * B, with s_max the
 
 Prefill passes are excluded from s_max: prompt encoding is transient and
 chunkable, while the decode loop sets the steady-state high-water mark.
-``c_mem`` absorbs attention-score materialization and framework buffers; the
-fixed ``overhead_bytes`` knob absorbs allocator slack and runtime state.
+``c_mem`` (``ACTIVATION_SCALE``) absorbs attention-score materialization and
+framework buffers; the fixed ``OVERHEAD_BYTES`` absorbs allocator slack and
+runtime state.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .config import (
     NO_ACCELERATION,
     Workload,
 )
-from .schedule import build_schedule
+from .schedule import DecodeSchedule, build_schedule
 
-ACTIVATION_SCALE_DEFAULT = 16
-OVERHEAD_BYTES_DEFAULT = 2e9
+ACTIVATION_SCALE = 16
+OVERHEAD_BYTES = 2e9
 
 
 @dataclass(frozen=True)
@@ -53,26 +54,32 @@ def estimate_memory(
     hw: HardwareSpec,
     wl: Workload,
     accel: AccelerationConfig = NO_ACCELERATION,
-    *,
-    c_mem: float = ACTIVATION_SCALE_DEFAULT,
-    overhead_bytes: float = OVERHEAD_BYTES_DEFAULT,
 ) -> MemoryReport:
+    return schedule_memory(build_schedule(arch, cfg, wl, accel), cfg, hw, wl, accel)
+
+
+def schedule_memory(
+    schedule: DecodeSchedule,
+    cfg: ModelConfig,
+    hw: HardwareSpec,
+    wl: Workload,
+    accel: AccelerationConfig,
+) -> MemoryReport:
+    """Footprint of ``wl`` under ``schedule``, the ``build_schedule`` of the same point."""
     bpe = hw.bytes_per_element
     weights = bpe * cfg.n_params
 
-    holds_kv = arch is not Architecture.DLM or accel.dual_cache
+    holds_kv = schedule.arch is not Architecture.DLM or accel.dual_cache
     kv = bpe * 2.0 * cfg.n_l * cfg.d * wl.total_len * wl.batch if holds_kv else 0.0
 
-    schedule = build_schedule(arch, cfg, wl, accel)
-    s_max = schedule.max_decode_active
-    activations = bpe * c_mem * cfg.n_l * s_max * cfg.d * wl.batch
+    activations = bpe * ACTIVATION_SCALE * cfg.n_l * schedule.max_decode_active * cfg.d * wl.batch
 
-    total = weights + kv + activations + overhead_bytes
+    total = weights + kv + activations + OVERHEAD_BYTES
     return MemoryReport(
         weights_bytes=weights,
         kv_cache_bytes=kv,
         activation_bytes=activations,
-        overhead_bytes=overhead_bytes,
+        overhead_bytes=OVERHEAD_BYTES,
         total_bytes=total,
         capacity_bytes=hw.capacity,
         oom=total > hw.capacity,

@@ -14,10 +14,12 @@ re-renders byte-identical.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+from .analytic import total_cost
 from .config import (
     AccelerationConfig,
     Architecture,
@@ -34,7 +36,7 @@ from .config import (
     validate_model_config,
 )
 from .errors import ConfigValidationError, EmptyRowSet, KeyMismatch, NonPositiveIntensity
-from .memory import MemoryReport, estimate_memory
+from .memory import MemoryReport, schedule_memory
 from .presets import (
     A800_CLASS,
     DEFAULT_BATCHES,
@@ -43,7 +45,8 @@ from .presets import (
     DEFAULT_PROMPT_LENS,
     EXTENDED_GEN_LENS,
 )
-from .throughput import IntensitySource, ThroughputEstimate, estimate_throughput
+from .schedule import build_schedule
+from .throughput import IntensitySource, ThroughputEstimate, schedule_throughput
 
 CSV_COLUMNS = (
     "arch",
@@ -184,13 +187,18 @@ def evaluate_point(
 ) -> SweepRow:
     """Memory verdict and throughput estimate of one grid point.
 
-    Valid inputs far beyond any real model can take a total past the float
-    range; such a point is an ``out_of_range`` error, never a row holding an
-    infinite or NaN number.
+    The point is scheduled and costed once, and both come from that one
+    schedule, so they equal what ``estimate_memory`` and
+    ``estimate_throughput`` return for it. Valid inputs far beyond any real
+    model can take a total past the float range; such a point is an
+    ``out_of_range`` error, never a row holding an infinite or NaN number.
     """
     try:
-        memory = estimate_memory(arch, cfg, hw, wl, accel)
-        est = estimate_throughput(arch, cfg, hw, wl, accel, source=source, include_prefill=include_prefill)
+        schedule = build_schedule(arch, cfg, wl, accel)
+        memory = schedule_memory(schedule, cfg, hw, wl, accel)
+        est = schedule_throughput(
+            schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=source, include_prefill=include_prefill
+        )
         finite = all(map(math.isfinite, (
             memory.total_bytes, est.flops_total, est.mops_total, est.arint, est.ridge,
             est.attainable, est.flops_per_token, est.tokens_per_second,
@@ -447,31 +455,33 @@ def emit_report_set(rows: Sequence[SweepRow], out_dir: str | Path, spec: SweepSp
 
     Generation-length plots are sliced at the smallest batch; batch plots at
     generation length 256 when present (the reference batch-sweep setting),
-    else the median grid value.
+    else the median grid value. A slice in which every row is out of memory
+    has nothing to plot: its SVG is skipped with a warning naming the file,
+    and sweep.csv still carries the slice's OOM verdicts.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [emit_csv(rows, out_dir / "sweep.csv")]
 
+    def plot(slice_rows: list[SweepRow], axis: str, path: Path, title: str) -> None:
+        if all(r.throughput is None for r in slice_rows):
+            warnings.warn(f"skipped {path}: every row of its slice is out of memory")
+        else:
+            written.append(emit_svg(slice_rows, axis, path, title=title))
+
     gen_batch = min(spec.batches)
     batch_gen = 256 if 256 in spec.gen_lens else spec.gen_lens[len(spec.gen_lens) // 2]
     for prompt_len in spec.prompt_lens:
-        gen_rows = [r for r in rows if r.prompt_len == prompt_len and r.batch == gen_batch]
-        written.append(
-            emit_svg(
-                gen_rows,
-                "gen_len",
-                out_dir / f"throughput_vs_gen_len_p{prompt_len}.svg",
-                title=f"throughput vs generation length (prompt {prompt_len}, batch {gen_batch})",
-            )
+        plot(
+            [r for r in rows if r.prompt_len == prompt_len and r.batch == gen_batch],
+            "gen_len",
+            out_dir / f"throughput_vs_gen_len_p{prompt_len}.svg",
+            f"throughput vs generation length (prompt {prompt_len}, batch {gen_batch})",
         )
-        batch_rows = [r for r in rows if r.prompt_len == prompt_len and r.gen_len == batch_gen]
-        written.append(
-            emit_svg(
-                batch_rows,
-                "batch",
-                out_dir / f"throughput_vs_batch_p{prompt_len}.svg",
-                title=f"throughput vs batch size (prompt {prompt_len}, gen {batch_gen})",
-            )
+        plot(
+            [r for r in rows if r.prompt_len == prompt_len and r.gen_len == batch_gen],
+            "batch",
+            out_dir / f"throughput_vs_batch_p{prompt_len}.svg",
+            f"throughput vs batch size (prompt {prompt_len}, gen {batch_gen})",
         )
     return written

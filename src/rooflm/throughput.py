@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analytic
-from .analytic import published_arint, published_step_flops, total_cost
+from .analytic import ScheduleCost, published_arint, published_step_flops, total_cost
 from .config import (
     AccelerationConfig,
     Architecture,
@@ -33,8 +33,8 @@ from .config import (
     Workload,
 )
 from .errors import InsufficientPoints, RegimeViolation
-from .roofline import Regime, RooflinePoint, attainable_performance
-from .schedule import build_schedule
+from .roofline import Regime, attainable_performance
+from .schedule import DecodeSchedule, build_schedule
 
 
 class IntensitySource(str, Enum):
@@ -55,7 +55,6 @@ class ThroughputEstimate:
     decode_steps: int
     flops_total: float        # decode-phase schedule FLOPs
     mops_total: float         # decode-phase schedule bytes
-    roofline: RooflinePoint
 
 
 def flops_per_token(total_flops: float, wl: Workload) -> float:
@@ -73,23 +72,40 @@ def estimate_throughput(
     source: IntensitySource = IntensitySource.SCHEDULE,
     include_prefill: bool = False,
 ) -> ThroughputEstimate:
-    """Schedule the workload, cost it, place it on the roofline, divide.
+    """Schedule the workload, cost it, and hand both to ``schedule_throughput``."""
+    schedule = build_schedule(arch, cfg, wl, accel)
+    return schedule_throughput(
+        schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=source, include_prefill=include_prefill
+    )
+
+
+def schedule_throughput(
+    schedule: DecodeSchedule,
+    cost: ScheduleCost,
+    cfg: ModelConfig,
+    hw: HardwareSpec,
+    wl: Workload,
+    *,
+    source: IntensitySource,
+    include_prefill: bool,
+) -> ThroughputEstimate:
+    """Place ``schedule``, costed as ``cost``, on the roofline and divide.
 
     ``include_prefill`` folds the prompt pass into the reported totals and,
     for the schedule source, into the intensity and FLOPs/token as well; the
     published estimates carry no prefill convention and are decode-only.
     """
-    schedule = build_schedule(arch, cfg, wl, accel)
-    cost = total_cost(schedule, cfg, hw)
     agg = cost.combined if include_prefill else cost.decode
+    flops, mops = agg.flops, agg.mops
     steps = schedule.decode_step_count
 
     if source is IntensitySource.PUBLISHED:
+        arch = schedule.arch
         arint = published_arint(arch, cfg, wl)
         fpt = flops_per_token(steps * published_step_flops(arch, cfg, wl), wl)
     else:
-        arint = agg.flops / agg.mops
-        fpt = flops_per_token(agg.flops, wl)
+        arint = flops / mops
+        fpt = flops_per_token(flops, wl)
 
     point = attainable_performance(hw, arint)
     return ThroughputEstimate(
@@ -102,9 +118,8 @@ def estimate_throughput(
         arint=arint,
         ridge=point.ridge,
         decode_steps=steps,
-        flops_total=agg.flops,
-        mops_total=agg.mops,
-        roofline=point,
+        flops_total=flops,
+        mops_total=mops,
     )
 
 

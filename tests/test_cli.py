@@ -328,6 +328,44 @@ class TestSweep:
         csv = (out_dir / "sweep.csv").read_text()
         assert len(csv.splitlines()) == 1 + 3 * 2 * 2 * 2
 
+    def test_all_oom_writes_csv_and_skips_every_plot(self, capsys, tmp_path):
+        # the 2e9-byte overhead alone exceeds the capacity, so every row is OOM
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"hardware": {"p_max": 3e14, "b_mem": 2e12, "capacity": 1e9}}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(out_dir))
+        assert code == 0
+        assert out.splitlines() == [str(out_dir / "sweep.csv")]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.csv"]
+        rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 324 and all(r.endswith(",true") for r in rows)
+        skipped = [f"throughput_vs_{axis}_p{p}.svg" for p in (40, 920) for axis in ("gen_len", "batch")]
+        assert err.splitlines() == [
+            f"warning: skipped {out_dir / name}: every row of its slice is out of memory" for name in skipped
+        ]
+
+    def test_all_oom_slices_skipped_and_others_written(self, capsys, tmp_path):
+        # a 10**6-token prompt puts every row of its slices out of memory; prompt 40 fits
+        grid = {"gen_lens": [64, 256], "batches": [1, 2]}
+        spec, alone = tmp_path / "spec.json", tmp_path / "alone.json"
+        spec.write_text(json.dumps({**grid, "prompt_lens": [40, 10**6]}))
+        alone.write_text(json.dumps({**grid, "prompt_lens": [40]}))
+        out_dir, alone_dir = tmp_path / "out", tmp_path / "alone"
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(out_dir))
+        assert code == 0
+        written = ["sweep.csv", "throughput_vs_gen_len_p40.svg", "throughput_vs_batch_p40.svg"]
+        assert out.splitlines() == [str(out_dir / name) for name in written]
+        skipped = [out_dir / f"throughput_vs_{axis}_p1000000.svg" for axis in ("gen_len", "batch")]
+        assert err.splitlines() == [
+            f"warning: skipped {path}: every row of its slice is out of memory" for path in skipped
+        ]
+        assert run(capsys, "sweep", "--spec", str(alone), "--out-dir", str(alone_dir))[0] == 0
+        for name in written[1:]:
+            assert (out_dir / name).read_bytes() == (alone_dir / name).read_bytes()
+        rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 * 2 * 2 * 2
+        assert all(r.endswith(",true") for r in rows if ",1000000," in r)
+
     @pytest.mark.parametrize(
         "doc", [{"architectures": ["Foo"]}, {"accel": {"Foo": {"tpf": 2}}}], ids=["architectures", "accel"]
     )

@@ -1,10 +1,14 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+import rooflm.memory
+import rooflm.sweep
+import rooflm.throughput
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.errors import ConfigValidationError, EmptyRowSet, KeyMismatch
-from rooflm.presets import BLOCK_DIFFUSION_8B, DLM_8B
+from rooflm.memory import MemoryReport, estimate_memory
+from rooflm.presets import A800_CLASS, BLOCK_DIFFUSION_8B, DEFAULT_MODELS, DLM_8B
 from rooflm.sweep import (
     CSV_COLUMNS,
     SweepSpec,
@@ -13,12 +17,13 @@ from rooflm.sweep import (
     emit_csv,
     emit_report_set,
     emit_svg,
+    evaluate_point,
     run_sweep,
     svg_text,
     sweep_spec_from_dict,
     validate_sweep_spec,
 )
-from rooflm.throughput import estimate_throughput
+from rooflm.throughput import IntensitySource, ThroughputEstimate, estimate_throughput
 
 TOY_MODELS = {
     Architecture.AR: ModelConfig(2, 2, 4, 8, 4.0, 1000.0),
@@ -104,6 +109,67 @@ class TestGrid:
     def test_extended_lengths_flag(self):
         spec = sweep_spec_from_dict({}, extended_lengths=True)
         assert spec.gen_lens == (2048, 4096, 8192, 16384)
+
+
+POINT_ACCELS = {
+    "AR": (Architecture.AR, AccelerationConfig()),
+    "AR+tpf3.1": (Architecture.AR, AccelerationConfig(tpf=3.1)),
+    "DLM": (Architecture.DLM, AccelerationConfig()),
+    "DLM+tpf3.1": (Architecture.DLM, AccelerationConfig(tpf=3.1)),
+    "DLM+dual": (Architecture.DLM, AccelerationConfig(dual_cache=True)),
+    "DLM+dual+tpf3.1": (Architecture.DLM, AccelerationConfig(tpf=3.1, dual_cache=True)),
+    "BD": (Architecture.BLOCK_DIFFUSION, AccelerationConfig()),
+    "BD+tpf3.1": (Architecture.BLOCK_DIFFUSION, AccelerationConfig(tpf=3.1)),
+}
+# gen_len 310 leaves a partial dual-cache refresh cycle and a partial final block
+POINT_WL = Workload(batch=4, prompt_len=40, gen_len=310)
+POINT_HW = {"fits": A800_CLASS, "oom": replace(A800_CLASS, capacity=1e9)}  # 1e9 < the 2e9-byte overhead
+
+
+class TestSinglePointEvaluation:
+    @pytest.mark.parametrize("include_prefill", [False, True], ids=["decode", "prefill"])
+    @pytest.mark.parametrize("case", list(POINT_ACCELS))
+    def test_builds_and_costs_once(self, monkeypatch, case, include_prefill):
+        counts = {"build_schedule": 0, "total_cost": 0, "attainable_performance": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every module evaluate_point can reach the function through
+        bindings = {
+            "build_schedule": (rooflm.sweep, rooflm.memory, rooflm.throughput),
+            "total_cost": (rooflm.sweep, rooflm.throughput),
+            "attainable_performance": (rooflm.throughput,),
+        }
+        for name, modules in bindings.items():
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        arch, accel = POINT_ACCELS[case]
+        evaluate_point(
+            arch, DEFAULT_MODELS[arch], A800_CLASS, POINT_WL, accel,
+            source=IntensitySource.SCHEDULE, include_prefill=include_prefill,
+        )
+        assert counts == {"build_schedule": 1, "total_cost": 1, "attainable_performance": 1}
+
+    @pytest.mark.parametrize("hw", list(POINT_HW))
+    @pytest.mark.parametrize("include_prefill", [False, True], ids=["decode", "prefill"])
+    @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])
+    @pytest.mark.parametrize("case", list(POINT_ACCELS))
+    def test_row_equals_the_single_point_functions(self, case, source, include_prefill, hw):
+        arch, accel = POINT_ACCELS[case]
+        cfg, hardware = DEFAULT_MODELS[arch], POINT_HW[hw]
+        row = evaluate_point(arch, cfg, hardware, POINT_WL, accel, source=source, include_prefill=include_prefill)
+        est = estimate_throughput(arch, cfg, hardware, POINT_WL, accel, source=source, include_prefill=include_prefill)
+        mem = estimate_memory(arch, cfg, hardware, POINT_WL, accel)
+        assert row.memory.oom is (hw == "oom")
+        for f in fields(ThroughputEstimate):
+            assert getattr(row.estimate, f.name) == getattr(est, f.name), f.name
+        for f in fields(MemoryReport):
+            assert getattr(row.memory, f.name) == getattr(mem, f.name), f.name
 
 
 class TestCompareAcceleration:
