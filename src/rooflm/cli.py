@@ -21,7 +21,7 @@ from .config import (
     load_model_file,
     load_workload_file,
 )
-from .errors import ConfigValidationError, ConstantDrift, ExponentMismatch
+from .errors import ConfigValidationError
 from .oracle import battery_report, default_battery
 from .presets import A800_CLASS
 from .roofline import ridge_point
@@ -198,9 +198,6 @@ def main(argv=None) -> int:
         for code, message in exc.issues:
             print(f"error [{code}]: {message}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ExponentMismatch, ConstantDrift) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

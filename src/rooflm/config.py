@@ -10,6 +10,8 @@ a number field takes no string and no NaN or Infinity, and a flag takes only
 ``true`` or ``false``; a violation is a ``wrong_type`` or ``non_finite_field``
 issue. An integer above ``MAX_INTEGER`` (2**53) is an ``out_of_range`` issue:
 up to that bound every closed-form sum of a schedule still fits in a float.
+A key given twice in one JSON object is a ``duplicate_field`` issue, and a
+file that is not UTF-8 an ``invalid_encoding`` issue.
 """
 
 from __future__ import annotations
@@ -301,12 +303,26 @@ def workload_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Wo
     return validate_workload(wl), accel
 
 
+def _unique_fields(pairs: list, path: str | Path) -> dict:
+    """``object_pairs_hook`` that rejects a key given twice in one JSON object."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        raise ConfigValidationError(
+            [("duplicate_field", f"{path}: field {k!r} is given more than once") for k in repeated]
+        )
+    return obj
+
+
 def load_json(path: str | Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError:
+            return json.load(fh, object_pairs_hook=lambda pairs: _unique_fields(pairs, path))
+        except (json.JSONDecodeError, ConfigValidationError):
             raise
+        except UnicodeDecodeError as exc:
+            raise ConfigValidationError([("invalid_encoding", f"{path}: {exc}")]) from None
         except ValueError as exc:  # an integer literal beyond Python's digit limit
             raise ConfigValidationError([("out_of_range", f"{path}: {exc}")]) from None
 

@@ -29,18 +29,5 @@ class RegimeViolation(ValueError):
     """Sweep points straddle the ridge or the sequence-length margin."""
 
 
-class ExponentMismatch(AssertionError):
-    """Fitted scaling exponents of the closed form and the counting oracle diverge."""
-
-
-class ConstantDrift(AssertionError):
-    """The closed-form/oracle ratio is not constant across a sweep: the two
-    implementations differ structurally, not just by a constant convention."""
-
-
-class KeyMismatch(ValueError):
-    """Baseline and accelerated row sets do not share identical sweep keys."""
-
-
 class EmptyRowSet(ValueError):
     """Report emission was asked to write zero rows."""

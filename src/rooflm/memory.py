@@ -72,7 +72,7 @@ def schedule_memory(
     holds_kv = schedule.arch is not Architecture.DLM or accel.dual_cache
     kv = bpe * 2.0 * cfg.n_l * cfg.d * wl.total_len * wl.batch if holds_kv else 0.0
 
-    activations = bpe * ACTIVATION_SCALE * cfg.n_l * schedule.max_decode_active * cfg.d * wl.batch
+    activations = bpe * ACTIVATION_SCALE * cfg.n_l * schedule.decode.max_active * cfg.d * wl.batch
 
     total = weights + kv + activations + OVERHEAD_BYTES
     return MemoryReport(

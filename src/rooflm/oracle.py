@@ -39,7 +39,6 @@ from .config import (
     NO_ACCELERATION,
     Workload,
 )
-from .errors import ConstantDrift, ExponentMismatch
 from .roofline import attainable_performance
 from .schedule import DecodeSchedule, Run, StepDescriptor, build_schedule
 from .throughput import fit_exponent, vary
@@ -219,20 +218,6 @@ class OracleReport:
         bad = {c.verdict for c in self.checks if not c.passed}
         return "ExponentMismatch" if "ExponentMismatch" in bad else "ConstantDrift"
 
-    def raise_for_failures(self) -> None:
-        for check in self.checks:
-            if check.verdict == "ExponentMismatch":
-                raise ExponentMismatch(
-                    f"{self.arch.value} {check.metric} vs {check.variable}: "
-                    f"analytic exponent {check.exponent_analytic:.3f} != oracle {check.exponent_oracle:.3f}"
-                )
-        for check in self.checks:
-            if check.verdict == "ConstantDrift":
-                raise ConstantDrift(
-                    f"{self.arch.value} {check.metric} vs {check.variable}: "
-                    f"analytic/oracle ratio drifts by {check.ratio_drift:.1%}"
-                )
-
     def to_text(self) -> str:
         lines = [
             f"operator-count oracle report: arch={self.arch.value}",
@@ -294,7 +279,7 @@ def _metric_pairs(
     ana = analytic.total_cost(schedule, cfg, hw).decode
     orc = count_schedule(schedule, cfg, hw).decode
     generated = wl.batch * wl.gen_len
-    steps = schedule.decode_step_count
+    steps = schedule.decode.passes
 
     ana_fpt = steps * analytic.published_step_flops(arch, cfg, wl) / generated
     orc_fpt = orc.flops / generated

@@ -121,16 +121,8 @@ class DecodeSchedule:
         return tuple(s for s in self.steps if s.is_prefill)
 
     @property
-    def decode_step_count(self) -> int:
-        return self.decode.passes
-
-    @property
     def finalized_total(self) -> int:
         return sum(step.finalized_tokens * n for step, n in self.expand() if not step.is_prefill)
-
-    @property
-    def max_decode_active(self) -> int:
-        return self.decode.max_active
 
 
 # Finalization quotas use a small tolerance so rational tpf values such as 3.1

@@ -35,7 +35,7 @@ from .config import (
     model_config_from_dict,
     validate_model_config,
 )
-from .errors import ConfigValidationError, EmptyRowSet, KeyMismatch, NonPositiveIntensity
+from .errors import ConfigValidationError, EmptyRowSet, NonPositiveIntensity
 from .memory import MemoryReport, schedule_memory
 from .presets import (
     A800_CLASS,
@@ -245,62 +245,6 @@ def run_sweep(
                         )
                     )
     return tuple(sorted(rows, key=lambda r: r.key))
-
-
-@dataclass(frozen=True)
-class SpeedupRow:
-    arch: Architecture
-    batch: int
-    prompt_len: int
-    gen_len: int
-    tpf: float
-    baseline_throughput: Optional[float]
-    accel_throughput: Optional[float]
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.baseline_throughput and self.accel_throughput:
-            return self.accel_throughput / self.baseline_throughput
-        return None
-
-
-def compare_acceleration(
-    baseline_rows: Sequence[SweepRow], accel_rows: Sequence[SweepRow]
-) -> tuple[SpeedupRow, ...]:
-    """Per-key speedup of an accelerated sweep over its baseline.
-
-    Rows are matched on (arch, batch, prompt_len, gen_len); the two sets must
-    cover exactly the same keys.
-    """
-
-    def keyed(rows):
-        out = {}
-        for r in rows:
-            k = (r.arch, r.batch, r.prompt_len, r.gen_len)
-            if k in out:
-                raise KeyMismatch(f"duplicate key {k!r}")
-            out[k] = r
-        return out
-
-    base, acc = keyed(baseline_rows), keyed(accel_rows)
-    if set(base) != set(acc):
-        missing = sorted(set(base) ^ set(acc))
-        raise KeyMismatch(f"baseline/accelerated key sets differ, e.g. {missing[:3]!r}")
-    out = []
-    for k in sorted(base, key=lambda k: (k[0].value, k[1], k[2], k[3])):
-        b, a = base[k], acc[k]
-        out.append(
-            SpeedupRow(
-                arch=b.arch,
-                batch=b.batch,
-                prompt_len=b.prompt_len,
-                gen_len=b.gen_len,
-                tpf=a.tpf,
-                baseline_throughput=b.throughput,
-                accel_throughput=a.throughput,
-            )
-        )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def schedule_throughput(
     """
     agg = cost.combined if include_prefill else cost.decode
     flops, mops = agg.flops, agg.mops
-    steps = schedule.decode_step_count
+    steps = schedule.decode.passes
 
     if source is IntensitySource.PUBLISHED:
         arch = schedule.arch

@@ -180,6 +180,40 @@ class TestAnalyze:
         assert out == ""
         assert "error [out_of_range]: " in err
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"batch": 1, "prompt_len": 0, "gen_len": 16, "batch": 64}', "batch"),
+            ('{"batch": 1, "prompt_len": 0, "gen_len": 16, "accel": {"tpf": 2, "tpf": 4}}', "tpf"),
+        ],
+        ids=["top_level", "nested_accel"],
+    )
+    def test_duplicate_field_exits_2(self, capsys, config_files, text, key):
+        config_files["workload"].write_text(text)
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--model", str(config_files["model"]),
+            "--hardware", str(config_files["hardware"]),
+            "--workload", str(config_files["workload"]),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error [duplicate_field]: {config_files['workload']}: field {key!r} is given more than once\n"
+
+    def test_non_utf8_file_exits_2(self, capsys, config_files):
+        config_files["workload"].write_bytes(b'{"batch": 1, "prompt_len": 0, "gen_len": 16\xff}')
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--model", str(config_files["model"]),
+            "--hardware", str(config_files["hardware"]),
+            "--workload", str(config_files["workload"]),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error [invalid_encoding]: {config_files['workload']}: 'utf-8' codec can't decode")
+
     def test_unknown_field_lenient_warns_on_stderr(self, capsys, config_files, tmp_path):
         odd = tmp_path / "odd.json"
         odd.write_text(
@@ -389,6 +423,27 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "error [wrong_type]: " in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"architectures": ["DLM"], "gen_lens": [16], "batches": [1], "prompt_lens": [0], "gen_lens": [32]}',
+             "gen_lens"),
+            ('{"architectures": ["DLM"], "gen_lens": [16], "batches": [1], "prompt_lens": [0], "models": {'
+             '"DLM": {"n_l": 2, "n_h": 2, "n_d": 4, "d": 8, "alpha": 4, "N": 1000}, '
+             '"DLM": {"n_l": 4, "n_h": 2, "n_d": 4, "d": 8, "alpha": 4, "N": 1000}}}',
+             "DLM"),
+        ],
+        ids=["top_level", "models"],
+    )
+    def test_duplicate_field_exits_2(self, capsys, tmp_path, text, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error [duplicate_field]: {spec}: field {key!r} is given more than once\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_spec_exits_2(self, capsys, tmp_path):

@@ -76,8 +76,8 @@ def test_closed_form_matches_expansion_and_oracle(arch, exact, block_size, wl, a
     sched = build_schedule(arch, cfg, wl, accel)
     decode, prefill = sched.decode_steps, sched.prefill_steps
 
-    assert sched.decode_step_count == len(decode)
-    assert sched.max_decode_active == max(s.active_tokens for s in decode)
+    assert sched.decode.passes == len(decode)
+    assert sched.decode.max_active == max(s.active_tokens for s in decode)
     assert sched.finalized_total == wl.gen_len
 
     closed = total_cost(sched, cfg, HW)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rooflm import analytic
 from rooflm.analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
-from rooflm.errors import ExponentMismatch
 from rooflm.oracle import (
     OP_NAMES,
     count_forward,
@@ -234,7 +233,7 @@ class TestOracleCheck:
         cfg = ModelConfig(n_l=2, n_h=1, n_d=8, d=8, alpha=1.0, n_params=128.0)
         report = oracle_check(Architecture.DLM, cfg, Workload(1, 0, 1024), variables=("L",))
         assert report.passed
-        report.raise_for_failures()
+        assert report.verdict == "PASS"
 
     def test_report_formats(self):
         cfg = ModelConfig(n_l=1, n_h=1, n_d=8, d=8, alpha=1.0, n_params=64.0)
@@ -264,8 +263,6 @@ class TestOracleCheck:
         )
         assert not report.passed
         assert report.verdict == "ExponentMismatch"
-        with pytest.raises(ExponentMismatch):
-            report.raise_for_failures()
 
 
 class TestBattery:

@@ -48,7 +48,7 @@ class TestSpecExamples:
         sched = build_schedule(
             Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, 256), AccelerationConfig(tpf=4.0)
         )
-        assert sched.decode_step_count == 64
+        assert sched.decode.passes == 64
 
     def test_block_diffusion_blocks(self):
         sched = build_schedule(
@@ -66,13 +66,13 @@ class TestDefaults:
     @pytest.mark.parametrize("gen_len", [1, 7, 64])
     def test_ar_default_step_count(self, gen_len):
         sched = build_schedule(Architecture.AR, cfg_for(Architecture.AR), Workload(1, 0, gen_len))
-        assert sched.decode_step_count == gen_len
+        assert sched.decode.passes == gen_len
         assert all(s.active_tokens == 1 for s in sched.decode_steps)
 
     @pytest.mark.parametrize("gen_len", [1, 7, 64])
     def test_dlm_default_step_count(self, gen_len):
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 5, gen_len))
-        assert sched.decode_step_count == gen_len
+        assert sched.decode.passes == gen_len
         seq = 5 + gen_len
         assert all(s.active_tokens == seq and s.cached_kv_len == 0 for s in sched.decode_steps)
 
@@ -82,8 +82,8 @@ class TestDefaults:
         sched = build_schedule(
             Architecture.BLOCK_DIFFUSION, cfg_for(Architecture.BLOCK_DIFFUSION, block), Workload(1, 0, gen_len)
         )
-        assert sched.decode_step_count == math.ceil(gen_len / block) * block
-        assert sched.decode_step_count == expected
+        assert sched.decode.passes == math.ceil(gen_len / block) * block
+        assert sched.decode.passes == expected
 
     def test_no_prefill_without_prompt(self):
         for arch in Architecture:
@@ -116,14 +116,14 @@ class TestTpfRounding:
         sched = build_schedule(
             Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, gen_len), AccelerationConfig(tpf=tpf)
         )
-        assert sched.decode_step_count == steps
+        assert sched.decode.passes == steps
 
     def test_block_parallel_steps(self):
         cfg = cfg_for(Architecture.BLOCK_DIFFUSION, 31)
         sched = build_schedule(
             Architecture.BLOCK_DIFFUSION, cfg, Workload(1, 0, 310), AccelerationConfig(tpf=3.1)
         )
-        assert sched.decode_step_count == 100  # 10 blocks x 10 steps
+        assert sched.decode.passes == 100  # 10 blocks x 10 steps
 
 
 class TestProperties:

@@ -6,13 +6,12 @@ import rooflm.memory
 import rooflm.sweep
 import rooflm.throughput
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
-from rooflm.errors import ConfigValidationError, EmptyRowSet, KeyMismatch
+from rooflm.errors import ConfigValidationError, EmptyRowSet
 from rooflm.memory import MemoryReport, estimate_memory
 from rooflm.presets import A800_CLASS, BLOCK_DIFFUSION_8B, DEFAULT_MODELS, DLM_8B
 from rooflm.sweep import (
     CSV_COLUMNS,
     SweepSpec,
-    compare_acceleration,
     csv_text,
     emit_csv,
     emit_report_set,
@@ -172,31 +171,18 @@ class TestSinglePointEvaluation:
             assert getattr(row.memory, f.name) == getattr(mem, f.name), f.name
 
 
-class TestCompareAcceleration:
+class TestAcceleratedSweep:
     def test_speedup_table(self):
         arch = Architecture.BLOCK_DIFFUSION
         cfg = replace(BLOCK_DIFFUSION_8B, block_size=31)
         spec = SweepSpec(architectures=(arch,), gen_lens=(310,), batches=(1, 2), prompt_lens=(40,), models={arch: cfg})
-        baseline = run_sweep(spec)
+        baseline = {(r.batch, r.prompt_len, r.gen_len): r for r in run_sweep(spec)}
         fast = run_sweep(replace_spec_accel(spec, {arch: AccelerationConfig(tpf=3.1)}))
-        table = compare_acceleration(baseline, fast)
-        assert len(table) == 2
-        for row in table:
+        assert len(fast) == len(baseline) == 2
+        for row in fast:
             assert row.tpf == 3.1
-            assert row.speedup == pytest.approx(3.1, rel=1e-12)
-
-    def test_identity_baseline(self):
-        spec = toy_spec(architectures=(Architecture.DLM,))
-        rows = run_sweep(spec)
-        table = compare_acceleration(rows, rows)
-        assert all(r.speedup == pytest.approx(1.0, rel=1e-15) for r in table)
-
-    def test_key_mismatch(self):
-        spec = toy_spec(architectures=(Architecture.DLM,))
-        rows = run_sweep(spec)
-        other = run_sweep(toy_spec(architectures=(Architecture.DLM,), batches=(1, 4)))
-        with pytest.raises(KeyMismatch):
-            compare_acceleration(rows, other)
+            speedup = row.throughput / baseline[(row.batch, row.prompt_len, row.gen_len)].throughput
+            assert speedup == pytest.approx(3.1, rel=1e-12)
 
     def test_dual_cache_step_flops_reduction(self):
         # vanilla/dual-cache mean per-step FLOPs ratio near L/window
@@ -208,8 +194,8 @@ class TestCompareAcceleration:
         vanilla = build_schedule(Architecture.DLM, DLM_8B, wl)
         cached = build_schedule(Architecture.DLM, DLM_8B, wl, accel)
         hw = TOY_HW
-        v = total_cost(vanilla, DLM_8B, hw).decode.flops / vanilla.decode_step_count
-        c = total_cost(cached, DLM_8B, hw).decode.flops / cached.decode_step_count
+        v = total_cost(vanilla, DLM_8B, hw).decode.flops / vanilla.decode.passes
+        c = total_cost(cached, DLM_8B, hw).decode.flops / cached.decode.passes
         assert 28 <= v / c <= 32
 
 
