@@ -26,7 +26,6 @@ from .sweep import SweepRow, SweepSpec, emit_csv, emit_svg, run_sweep
 from .throughput import (
     IntensitySource,
     ThroughputEstimate,
-    asymptotic_trend,
     crossing_batch,
     estimate_throughput,
     flops_per_token,
@@ -52,7 +51,6 @@ __all__ = [
     "SweepSpec",
     "ThroughputEstimate",
     "Workload",
-    "asymptotic_trend",
     "attainable_performance",
     "build_schedule",
     "count_forward",

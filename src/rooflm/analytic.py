@@ -34,6 +34,10 @@ from .schedule import DecodeSchedule, PhaseSums, StepDescriptor
 # activation read/write traffic per active token, in units of d elements
 ACTIVATION_TRAFFIC_ELEMS = 4
 
+# the factor by which sequence length and hidden size must differ for
+# ``length_regime`` to tag a point 'L<<d' or 'L>>d'
+LENGTH_MARGIN = 10.0
+
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -133,12 +137,12 @@ def published_step_bytes(arch: Architecture, cfg: ModelConfig, wl: Workload) -> 
     return n + 2.0 * b * cfg.n_l * d * seq + b * cfg.n_l * d * g
 
 
-def length_regime(cfg: ModelConfig, wl: Workload, margin: float = 10.0) -> str:
+def length_regime(cfg: ModelConfig, wl: Workload) -> str:
     """Dominant-term tag for regime narration: 'L<<d', 'L~d', or 'L>>d'."""
     seq = wl.total_len
-    if seq * margin <= cfg.d:
+    if seq * LENGTH_MARGIN <= cfg.d:
         return "L<<d"
-    if seq >= margin * cfg.d:
+    if seq >= LENGTH_MARGIN * cfg.d:
         return "L>>d"
     return "L~d"
 

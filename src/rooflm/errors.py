@@ -21,13 +21,5 @@ class NonPositiveIntensity(ValueError):
     """Arithmetic intensity must be strictly positive for roofline placement."""
 
 
-class InsufficientPoints(ValueError):
-    """A slope fit needs at least three strictly increasing points."""
-
-
-class RegimeViolation(ValueError):
-    """Sweep points straddle the ridge or the sequence-length margin."""
-
-
 class EmptyRowSet(ValueError):
     """Report emission was asked to write zero rows."""

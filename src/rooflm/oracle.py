@@ -13,9 +13,10 @@ the same left-to-right order, so every value is the same float as the
 formula written out in full. The enumeration (``count_forward``,
 ``count_schedule``) never calls into the closed-form cost paths; the checks
 call both sides to arbitrate them. ``oracle_check`` sweeps one variable,
-fits log-log scaling exponents from both sources, and verifies that the
-exponents agree and that the closed-form/oracle ratio stays constant -- a
-constant ratio is a convention difference, a drifting one is a structural bug.
+fits log-log scaling exponents from both sources (``fit_exponent``, the
+package's one exponent fit), and verifies that the exponents agree and that
+the closed-form/oracle ratio stays constant -- a constant ratio is a
+convention difference, a drifting one is a structural bug.
 
 Excluded operators: softmax, layernorm, embedding lookup (sub-1% of FLOPs at
 the modeled scales, and absent from the scaling claims being checked).
@@ -24,10 +25,10 @@ the modeled scales, and absent from the scaling claims being checked).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from math import fsum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import analytic
 from .analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown, ScheduleCost
@@ -41,7 +42,6 @@ from .config import (
 )
 from .roofline import attainable_performance
 from .schedule import DecodeSchedule, Run, StepDescriptor, build_schedule
-from .throughput import fit_exponent, vary
 
 EXCLUDED_OPERATORS = ("softmax", "layernorm", "embedding_lookup")
 
@@ -172,6 +172,9 @@ RATIO_TOLERANCE = 0.10
 # toy-scale bounds keep enumeration instant
 _MAX_NL, _MAX_D, _MAX_L = 8, 128, 4096
 
+# the hardware every check places its points on (ridge 100 FLOPs/byte)
+TOY_HARDWARE = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
+
 
 # the columns of a report's CSV; ``check`` is ``metric/variable``
 _CSV_HEADER = ("check", "point", "analytic", "oracle", "ratio", "exponent_analytic", "exponent_oracle", "verdict")
@@ -267,7 +270,6 @@ def _metric_pairs(
     wl: Workload,
     accel: AccelerationConfig,
     hw: HardwareSpec,
-    arint_fn: Callable[[Architecture, ModelConfig, Workload], float],
 ) -> dict[str, tuple[float, float]]:
     """(closed-form value, enumerated value) per metric for one grid point.
 
@@ -283,7 +285,7 @@ def _metric_pairs(
 
     ana_fpt = steps * analytic.published_step_flops(arch, cfg, wl) / generated
     orc_fpt = orc.flops / generated
-    ana_arint = arint_fn(arch, cfg, wl)
+    ana_arint = analytic.published_arint(arch, cfg, wl)
     orc_arint = orc.flops / orc.mops
     ana_thr = attainable_performance(hw, ana_arint).attainable / ana_fpt
     orc_thr = attainable_performance(hw, orc_arint).attainable / orc_fpt
@@ -296,11 +298,26 @@ def _metric_pairs(
     }
 
 
-_DEFAULT_VARIABLES = {
-    Architecture.AR: ("B", "L"),
-    Architecture.DLM: ("L", "B"),
-    Architecture.BLOCK_DIFFUSION: ("G", "L", "B"),
-}
+def vary(variable: str, cfg: ModelConfig, wl: Workload, value: int) -> tuple[ModelConfig, Workload]:
+    """The point with sweep variable ``variable`` set to ``value``.
+
+    ``L`` is the generation length, ``B`` the batch size, ``G`` the block size.
+    """
+    if variable == "L":
+        return cfg, replace(wl, gen_len=value)
+    if variable == "B":
+        return cfg, replace(wl, batch=value)
+    if variable == "G":
+        return replace(cfg, block_size=value), wl
+    raise ValueError(f"variable must be 'L', 'B', or 'G', got {variable!r}")
+
+
+def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of log(ys) against log(xs)."""
+    import numpy as np  # here, not at the top: only the oracle's fit needs it, and it dominates start-up
+
+    slope, _ = np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)
+    return float(slope)
 
 
 def _grid(variable: str, cfg: ModelConfig, wl: Workload) -> list[int]:
@@ -316,30 +333,23 @@ def oracle_check(
     cfg: ModelConfig,
     wl: Workload,
     accel: AccelerationConfig = NO_ACCELERATION,
-    hw: HardwareSpec = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18),
+    hw: HardwareSpec = TOY_HARDWARE,
     *,
-    variables: Optional[Sequence[str]] = None,
-    arint_fn: Callable[[Architecture, ModelConfig, Workload], float] = None,
+    variables: Sequence[str],
 ) -> OracleReport:
-    """Sweep each variable from the given base point and compare both sources.
-
-    ``arint_fn`` is injectable so a deliberately broken intensity formula can
-    be shown to trip ExponentMismatch; it defaults to the published estimates.
-    """
+    """Sweep each of ``variables`` (see ``vary``) from the given base point and compare both sources."""
     if cfg.n_l > _MAX_NL or cfg.d > _MAX_D:
         raise ValueError(f"oracle_check is toy-scale only (n_l <= {_MAX_NL}, d <= {_MAX_D})")
-    if arint_fn is None:
-        arint_fn = analytic.published_arint
 
     checks = []
-    for variable in variables or _DEFAULT_VARIABLES[arch]:
+    for variable in variables:
         grid = _grid(variable, cfg, wl)
         if variable == "L" and wl.prompt_len + grid[-1] > _MAX_L:
             raise ValueError(f"oracle_check is toy-scale only (L <= {_MAX_L})")
         samples: dict[str, list[PointSample]] = {metric: [] for metric in METRICS}
         for value in grid:
             case_cfg, case_wl = vary(variable, cfg, wl, value)
-            for metric, (ana, orc) in _metric_pairs(arch, case_cfg, case_wl, accel, hw, arint_fn).items():
+            for metric, (ana, orc) in _metric_pairs(arch, case_cfg, case_wl, accel, hw).items():
                 samples[metric].append(PointSample(value, ana, orc))
 
         for metric in METRICS:
@@ -361,9 +371,6 @@ def oracle_check(
 
 # ---------------------------------------------------------------------------
 # Built-in battery over the toy grid
-
-TOY_HARDWARE = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
-
 
 def default_battery() -> list[tuple[str, OracleReport]]:
     """Cross-check battery over n_l in {1,2,4} x d in {8,32,128}, L up to 4096.

@@ -118,7 +118,7 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     """Build a SweepSpec from a JSON document; every field is optional.
 
     ``models`` maps architecture name to a model document (its ``arch`` field
-    may be omitted and defaults to the key); ``accel`` maps architecture name
+    may be omitted; given, it must equal the key); ``accel`` maps architecture name
     to an acceleration document; ``hardware`` is an inline hardware document.
     """
     data = json_object(data, "sweep spec")
@@ -137,9 +137,13 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     if "models" in data:
         models = {}
         for arch_name, doc in json_object(data["models"], "models").items():
-            doc = {"arch": arch_name, **json_object(doc, f"models[{arch_name!r}]")}
-            arch, cfg = model_config_from_dict(doc, strict)
-            models[arch] = cfg
+            arch = architecture_from_name(arch_name)
+            doc = json_object(doc, f"models[{arch_name!r}]")
+            if doc.get("arch", arch_name) != arch_name:
+                raise ConfigValidationError([(
+                    "arch_mismatch", f"models[{arch_name!r}] has arch {doc['arch']!r}; it must equal its key",
+                )])
+            models[arch] = model_config_from_dict({**doc, "arch": arch_name}, strict)[1]
         kwargs["models"] = models
     if "accel" in data:
         kwargs["accel"] = {
@@ -192,7 +196,13 @@ def evaluate_point(
     ``estimate_throughput`` return for it. Valid inputs far beyond any real
     model can take a total past the float range; such a point is an
     ``out_of_range`` error, never a row holding an infinite or NaN number.
+    Dual cache is a DLM acceleration; asked of another architecture, which
+    would ignore it, it is an ``unsupported_acceleration`` error.
     """
+    if accel.dual_cache and arch is not Architecture.DLM:
+        raise ConfigValidationError([(
+            "unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}",
+        )])
     try:
         schedule = build_schedule(arch, cfg, wl, accel)
         memory = schedule_memory(schedule, cfg, hw, wl, accel)

@@ -18,11 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
-from . import analytic
 from .analytic import ScheduleCost, published_arint, published_step_flops, total_cost
 from .config import (
     AccelerationConfig,
@@ -32,9 +29,12 @@ from .config import (
     NO_ACCELERATION,
     Workload,
 )
-from .errors import InsufficientPoints, RegimeViolation
 from .roofline import Regime, attainable_performance
 from .schedule import DecodeSchedule, build_schedule
+
+
+# the largest batch ``crossing_batch`` searches
+MAX_BATCH = 1 << 20
 
 
 class IntensitySource(str, Enum):
@@ -123,66 +123,6 @@ def schedule_throughput(
     )
 
 
-def vary(variable: str, cfg: ModelConfig, wl: Workload, value: int) -> tuple[ModelConfig, Workload]:
-    """The point with sweep variable ``variable`` set to ``value``.
-
-    ``L`` is the generation length, ``B`` the batch size, ``G`` the block size.
-    """
-    if variable == "L":
-        return cfg, replace(wl, gen_len=value)
-    if variable == "B":
-        return cfg, replace(wl, batch=value)
-    if variable == "G":
-        return replace(cfg, block_size=value), wl
-    raise ValueError(f"variable must be 'L', 'B', or 'G', got {variable!r}")
-
-
-def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
-    slope, _ = np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)
-    return float(slope)
-
-
-def asymptotic_trend(
-    arch: Architecture,
-    cfg: ModelConfig,
-    hw: HardwareSpec,
-    wl: Workload,
-    variable: str,
-    points: Sequence[int],
-    *,
-    accel: AccelerationConfig = NO_ACCELERATION,
-    expected_regime: Optional[Regime] = None,
-    length_regime: Optional[str] = None,
-    margin: float = 10.0,
-    source: IntensitySource = IntensitySource.SCHEDULE,
-) -> float:
-    """Least-squares slope of log(throughput) against log(``variable``).
-
-    ``variable`` is one of ``L`` (generation length), ``B`` (batch size), or
-    ``G`` (block size), as in ``vary``; every evaluated point must sit in the
-    requested roofline regime and, when ``length_regime`` is given ('L<<d' or
-    'L>>d'), carry that ``analytic.length_regime`` tag at ``margin``.
-    """
-    if len(points) < 3 or any(b <= a for a, b in zip(points, points[1:])):
-        raise InsufficientPoints(f"need >= 3 strictly increasing points, got {list(points)!r}")
-
-    throughputs = []
-    for value in points:
-        case_cfg, case_wl = vary(variable, cfg, wl, int(value))
-        if length_regime is not None and analytic.length_regime(case_cfg, case_wl, margin) != length_regime:
-            raise RegimeViolation(
-                f"L={case_wl.total_len} is not {length_regime} at margin {margin:g} (d={cfg.d})"
-            )
-        est = estimate_throughput(arch, case_cfg, hw, case_wl, accel, source=source)
-        if expected_regime is not None and est.regime is not expected_regime:
-            raise RegimeViolation(
-                f"point {variable}={value} is {est.regime.value}, expected {expected_regime.value}"
-            )
-        throughputs.append(est.tokens_per_second)
-    return fit_exponent(points, throughputs)
-
-
 def crossing_batch(
     arch: Architecture,
     cfg: ModelConfig,
@@ -191,21 +131,20 @@ def crossing_batch(
     accel: AccelerationConfig = NO_ACCELERATION,
     *,
     source: IntensitySource = IntensitySource.SCHEDULE,
-    b_max: int = 1 << 20,
 ) -> Optional[int]:
     """Smallest batch size whose roofline placement is compute-bound.
 
     Intensity is non-decreasing in B for all three architectures, so a binary
-    search is valid. Returns None when even ``b_max`` stays memory-bound
+    search is valid. Returns None when even ``MAX_BATCH`` stays memory-bound
     (the intensity saturates below the ridge).
     """
 
     def regime_at(b: int) -> Regime:
         return estimate_throughput(arch, cfg, hw, replace(wl, batch=b), accel, source=source).regime
 
-    if regime_at(b_max) is Regime.MEMORY_BOUND:
+    if regime_at(MAX_BATCH) is Regime.MEMORY_BOUND:
         return None
-    lo, hi = 1, b_max
+    lo, hi = 1, MAX_BATCH
     if regime_at(lo) is Regime.COMPUTE_BOUND:
         return lo
     while hi - lo > 1:

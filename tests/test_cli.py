@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rooflm.cli import main
-from rooflm.config import load_hardware_file, load_model_file, load_workload_file
+from rooflm.config import Architecture, ModelConfig, load_hardware_file, load_model_file, load_workload_file
 from rooflm.sweep import SweepSpec, csv_text, run_sweep
 
 
@@ -213,6 +213,35 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error [invalid_encoding]: {config_files['workload']}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize(
+        "model,code",
+        [
+            ({"arch": "AR"}, 2),
+            ({"arch": "BlockDiffusion", "G": 4}, 2),
+            ({"arch": "DLM"}, 0),
+        ],
+        ids=["AR", "BlockDiffusion", "DLM"],
+    )
+    def test_dual_cache_only_on_dlm(self, capsys, config_files, model, code):
+        doc = json.loads(config_files["model"].read_text())
+        config_files["model"].write_text(json.dumps({**doc, **model}))
+        config_files["workload"].write_text(
+            json.dumps({"batch": 1, "prompt_len": 0, "gen_len": 16, "accel": {"dual_cache": True}})
+        )
+        result = run(
+            capsys,
+            "analyze",
+            "--model", str(config_files["model"]),
+            "--hardware", str(config_files["hardware"]),
+            "--workload", str(config_files["workload"]),
+        )
+        if code:
+            assert result == (2, "", f"error [unsupported_acceleration]: dual_cache applies to DLM only, "
+                                     f"not {model['arch']}\n")
+        else:
+            assert result[0] == 0
+            assert "accel: dual-cache (tpf=1)" in result[1]
 
     def test_unknown_field_lenient_warns_on_stderr(self, capsys, config_files, tmp_path):
         odd = tmp_path / "odd.json"
@@ -444,6 +473,34 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err == f"error [duplicate_field]: {spec}: field {key!r} is given more than once\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_model_arch_must_equal_its_key(self, capsys, tmp_path):
+        grid = {"architectures": ["AR"], "gen_lens": [16], "batches": [1], "prompt_lens": [0]}
+        model = {"n_l": 2, "n_h": 2, "n_d": 4, "d": 8, "alpha": 4, "N": 1000}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**grid, "models": {"AR": {"arch": "DLM", **model}}}))
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "error [arch_mismatch]: models['AR'] has arch 'DLM'; it must equal its key\n"
+        assert not (tmp_path / "o").exists()
+
+        # the same entry under its own name is the model the sweep runs
+        spec.write_text(json.dumps({**grid, "models": {"AR": {"arch": "AR", **model}}}))
+        assert run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))[0] == 0
+        cfg = ModelConfig(n_l=2, n_h=2, n_d=4, d=8, alpha=4.0, n_params=1000.0)
+        expected = csv_text(run_sweep(SweepSpec(architectures=(Architecture.AR,), gen_lens=(16,), batches=(1,),
+                                                prompt_lens=(0,), models={Architecture.AR: cfg})))
+        assert (tmp_path / "o" / "sweep.csv").read_text() == expected
+
+    @pytest.mark.parametrize("arch", ["AR", "BlockDiffusion"])
+    def test_dual_cache_only_on_dlm(self, capsys, tmp_path, arch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"architectures": [arch], "gen_lens": [16], "batches": [1], "prompt_lens": [0],
+                                    "accel": {arch: {"dual_cache": True}}}))
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"error [unsupported_acceleration]: dual_cache applies to DLM only, not {arch}\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_spec_exits_2(self, capsys, tmp_path):

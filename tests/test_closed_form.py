@@ -87,11 +87,9 @@ def test_closed_form_matches_expansion_and_oracle(arch, exact, block_size, wl, a
         _assert_agree(getattr(closed, phase), getattr(oracle, phase), exact)
 
 
-SCALE_ACCELS = (
-    AccelerationConfig(),
-    AccelerationConfig(tpf=3.1),
-    AccelerationConfig(dual_cache=True),
-)
+SCALE_POINTS = [
+    (arch, accel) for arch in Architecture for accel in (AccelerationConfig(), AccelerationConfig(tpf=3.1))
+] + [(Architecture.DLM, AccelerationConfig(dual_cache=True))]  # dual cache is a DLM acceleration
 
 
 def test_cost_does_not_grow_with_gen_len():
@@ -102,8 +100,7 @@ def test_cost_does_not_grow_with_gen_len():
         rows = [
             evaluate_point(arch, DEFAULT_MODELS[arch], A800_CLASS, wl, accel,
                            source=IntensitySource.SCHEDULE, include_prefill=False)
-            for arch in Architecture
-            for accel in SCALE_ACCELS
+            for arch, accel in SCALE_POINTS
         ]
         _, peak = tracemalloc.get_traced_memory()
     finally:

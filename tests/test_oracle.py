@@ -248,9 +248,9 @@ class TestOracleCheck:
     def test_rejects_non_toy_scale(self):
         big = ModelConfig(n_l=32, n_h=32, n_d=128, d=4096, alpha=3.5, n_params=8e9)
         with pytest.raises(ValueError):
-            oracle_check(Architecture.AR, big, Workload(1, 0, 16))
+            oracle_check(Architecture.AR, big, Workload(1, 0, 16), variables=("B",))
 
-    def test_injected_bug_trips_exponent_mismatch(self):
+    def test_injected_bug_trips_exponent_mismatch(self, monkeypatch):
         # drop the quadratic attention term from the intensity estimate
         def broken_arint(arch, cfg, wl):
             seq, d = wl.total_len, cfg.d
@@ -258,9 +258,8 @@ class TestOracleCheck:
             return num / (cfg.n_params + wl.batch * cfg.n_l * d * seq)
 
         cfg = ModelConfig(n_l=2, n_h=1, n_d=8, d=8, alpha=1.0, n_params=128.0)
-        report = oracle_check(
-            Architecture.DLM, cfg, Workload(1, 0, 1024), variables=("L",), arint_fn=broken_arint
-        )
+        monkeypatch.setattr(analytic, "published_arint", broken_arint)
+        report = oracle_check(Architecture.DLM, cfg, Workload(1, 0, 1024), variables=("L",))
         assert not report.passed
         assert report.verdict == "ExponentMismatch"
 

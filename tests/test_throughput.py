@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rooflm.analytic import length_regime
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
-from rooflm.errors import InsufficientPoints, RegimeViolation
+from rooflm.oracle import fit_exponent, vary
 from rooflm.presets import A800_CLASS, AR_8B, BLOCK_DIFFUSION_8B, DLM_8B
 from rooflm.roofline import Regime
 from rooflm.throughput import (
     IntensitySource,
-    asymptotic_trend,
     crossing_batch,
     estimate_throughput,
     flops_per_token,
@@ -97,54 +97,37 @@ class TestTrends:
 
         return replace(cfg, n_params=derive_param_count(cfg))
 
+    def slope(self, arch, cfg, hw, wl, variable, points, regime, length):
+        """Throughput's log-log slope in ``variable``; every point must be in ``regime`` and ``length``."""
+        throughputs = []
+        for value in points:
+            case_cfg, case_wl = vary(variable, cfg, wl, value)
+            assert length_regime(case_cfg, case_wl) == length, value
+            est = estimate_throughput(arch, case_cfg, hw, case_wl)
+            assert est.regime is regime, value
+            throughputs.append(est.tokens_per_second)
+        return fit_exponent(points, throughputs)
+
     def test_dlm_compute_bound_length_slope(self):
         cfg = self.toy()
         hw = HardwareSpec(p_max=1e12, b_mem=1e11, capacity=1e18)  # ridge 10
-        slope = asymptotic_trend(
+        slope = self.slope(
             Architecture.DLM, cfg, hw, Workload(1, 0, 1),
-            "L", [100 * cfg.d, 200 * cfg.d, 400 * cfg.d],
-            expected_regime=Regime.COMPUTE_BOUND, length_regime="L>>d",
+            "L", [100 * cfg.d, 200 * cfg.d, 400 * cfg.d], Regime.COMPUTE_BOUND, "L>>d",
         )
         assert slope == pytest.approx(-2.0, abs=0.1)
 
     def test_ar_memory_bound_batch_slope(self):
-        slope = asymptotic_trend(
-            Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 64),
-            "B", [1, 2, 4, 8],
-            expected_regime=Regime.MEMORY_BOUND, length_regime="L<<d",
+        slope = self.slope(
+            Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 64), "B", [1, 2, 4, 8], Regime.MEMORY_BOUND, "L<<d"
         )
         assert slope == pytest.approx(1.0, abs=0.05)
 
     def test_ar_memory_bound_length_slope_flat(self):
-        slope = asymptotic_trend(
-            Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 1),
-            "L", [64, 128, 256],
-            expected_regime=Regime.MEMORY_BOUND, length_regime="L<<d",
+        slope = self.slope(
+            Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 1), "L", [64, 128, 256], Regime.MEMORY_BOUND, "L<<d"
         )
         assert slope == pytest.approx(0.0, abs=0.05)
-
-    def test_needs_three_points(self):
-        with pytest.raises(InsufficientPoints):
-            asymptotic_trend(Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 64), "B", [1, 2])
-
-    def test_points_must_increase(self):
-        with pytest.raises(InsufficientPoints):
-            asymptotic_trend(Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 64), "B", [1, 4, 2])
-
-    def test_regime_violation_on_margin(self):
-        with pytest.raises(RegimeViolation):
-            asymptotic_trend(
-                Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 1),
-                "L", [64, 128, 2048], length_regime="L<<d",
-            )
-
-    def test_regime_violation_on_bound(self):
-        # DLM at these lengths is compute-bound on the default profile
-        with pytest.raises(RegimeViolation):
-            asymptotic_trend(
-                Architecture.DLM, DLM_8B, A800_CLASS, Workload(1, 0, 1),
-                "L", [512, 1024, 2048], expected_regime=Regime.MEMORY_BOUND,
-            )
 
 
 class TestInvariantProperties:
