@@ -70,20 +70,6 @@ class CostBreakdown:
         }
 
 
-def _sum_costs(costs) -> CostBreakdown:
-    costs = list(costs)
-    if not costs:
-        return CostBreakdown()
-    return CostBreakdown(
-        fsum(c.projection_flops for c in costs),
-        fsum(c.attention_flops for c in costs),
-        fsum(c.ffn_flops for c in costs),
-        fsum(c.weights_read for c in costs),
-        fsum(c.kv_read_write for c in costs),
-        fsum(c.activation_io for c in costs),
-    )
-
-
 @dataclass(frozen=True)
 class ScheduleCost:
     """Decode and prefill costs of a schedule, kept separate so prefill stays auditable."""
@@ -93,7 +79,8 @@ class ScheduleCost:
 
     @property
     def combined(self) -> CostBreakdown:
-        return _sum_costs((self.decode, self.prefill))
+        prefill = self.prefill.components
+        return CostBreakdown(**{name: fsum((value, prefill[name])) for name, value in self.decode.components.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +143,7 @@ def step_cost(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batch: i
     FLOPs = B*n_l*(8*s*d^2 + 4*s*L_ctx*d + 4*alpha*s*d^2)
     MOPs  = bytes_per_element*(N + B*n_l*2*d*L_ctx + c_act*B*n_l*s*d)
     """
-    return _phase_cost(cfg, PhaseSums.of((step,)), hw, batch)
+    return _phase_cost(cfg, PhaseSums.uniform(1, step.active_tokens, step.context_len), hw, batch)
 
 
 def _phase_cost(cfg: ModelConfig, sums: PhaseSums, hw: HardwareSpec, batch: int = 1) -> CostBreakdown:

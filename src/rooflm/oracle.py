@@ -96,7 +96,7 @@ def _forward_values(cfg: ModelConfig, hw: HardwareSpec, batch: int) -> Callable[
         out_proj        bl * 2.0 * s * d**2
         ffn_up          bl * 2.0 * s * d * (a * d)
         ffn_down        bl * 2.0 * s * (a * d) * d
-        kv_cache_read   bpe * bl * 2.0 * d * cached
+        kv_cache_read   bpe * bl * 2.0 * d * (ctx - s)
         kv_cache_write  bpe * bl * 2.0 * d * s
         weight_read     bpe * N
         activation_io   bpe * ACTIVATION_TRAFFIC_ELEMS * bl * s * d
@@ -120,7 +120,7 @@ def _forward_values(cfg: ModelConfig, hw: HardwareSpec, batch: int) -> Callable[
             ms * d_sq,
             ms * d * ad,
             ms * ad * d,
-            kv * step.cached_kv_len,
+            kv * (step.context_len - s),
             kv * s,
             weights,
             activations * s * d,

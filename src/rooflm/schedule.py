@@ -11,24 +11,25 @@ A schedule is the sequence of forward passes of one generation request:
 * Block diffusion walks blocks of size G left to right, denoising each block
   with G full-block steps while reading the finalized prefix from cache.
 
-Every cost is linear in a few sums over a phase's passes (see ``PhaseSums``),
-so ``build_schedule`` computes those sums in closed form, with integer
-arithmetic, in O(1) whatever the generation length. The passes themselves
-are expanded only on demand, by ``DecodeSchedule.expand``, as runs: a
-``StepDescriptor`` and the number of consecutive passes equal to it. At an
-integer tpf a DLM phase is at most three runs (full quota, remainder, zero
-tail), a block-diffusion block at most three, and a dual-cache refresh cycle
-one refresh run plus its window runs; AR contexts grow on every pass, so its
-runs are single passes. The per-operator oracle reads the runs;
-``DecodeSchedule.steps`` lists every pass, for inspection and tests.
+A pass is its active tokens s, its context ctx and its phase; the other
+ctx - s tokens' K/V come from cache. Every cost is linear in a few sums over
+a phase's passes (see ``PhaseSums``), so ``build_schedule`` computes those
+sums in closed form, with integer arithmetic, in O(1) whatever the
+generation length. The passes themselves are expanded only on demand, by
+``DecodeSchedule.expand``, as runs: a ``StepDescriptor`` and the number of
+consecutive passes equal to it. Runs split only where (s, ctx) or the phase
+changes: a DLM phase is one run at any tpf, a dual-cache refresh cycle a
+refresh run and a window run, a block-diffusion block one run; AR contexts
+grow on every pass, so its runs are single passes. The per-operator oracle
+reads the runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, groupby, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import chain, repeat
+from typing import Callable, Iterator, NamedTuple
 
 from .config import (
     AccelerationConfig,
@@ -43,18 +44,16 @@ from .config import (
 
 
 class StepDescriptor(NamedTuple):
-    active_tokens: int      # tokens written/updated this pass, per sequence
-    context_len: int        # tokens attended over, per sequence
-    cached_kv_len: int      # tokens whose K/V come from cache
+    active_tokens: int  # tokens written/updated this pass, per sequence
+    context_len: int    # tokens attended over, per sequence; the other context_len - active_tokens are cached
     is_prefill: bool
-    finalized_tokens: int   # tokens newly finalized this pass, per sequence
 
 
 class PhaseSums(NamedTuple):
     """Sums over the passes of one phase, with s the active tokens and ctx the context.
 
-    Every pass has cached_kv_len = ctx - s, so these sums determine every
-    FLOP and byte total of the phase.
+    Every pass reads ctx - s tokens' K/V from cache, so these sums determine
+    every FLOP and byte total of the phase.
     """
 
     passes: int = 0
@@ -62,19 +61,6 @@ class PhaseSums(NamedTuple):
     active_context: int = 0  # sum of s * ctx
     context: int = 0         # sum of ctx
     max_active: int = 0      # largest s, 0 for an empty phase
-
-    @classmethod
-    def of(cls, steps: Iterable[StepDescriptor]) -> PhaseSums:
-        """The sums of explicitly listed passes."""
-        passes = active = active_context = context = max_active = 0
-        for step in steps:
-            s, ctx = step.active_tokens, step.context_len
-            passes += 1
-            active += s
-            active_context += s * ctx
-            context += ctx
-            max_active = max(max_active, s)
-        return cls(passes, active, active_context, context, max_active)
 
     @classmethod
     def uniform(cls, count: int, s: int, ctx: int) -> PhaseSums:
@@ -95,34 +81,14 @@ class DecodeSchedule:
     prefill: PhaseSums
     expand: Callable[[], Iterator[Run]] = field(repr=False, compare=False)
 
-    @classmethod
-    def from_steps(cls, arch: Architecture, batch: int, steps: Iterable[StepDescriptor]) -> DecodeSchedule:
-        """A schedule of explicitly listed passes, each its own run."""
-        steps = tuple(steps)
-        return cls(
-            arch=arch,
-            batch=batch,
-            decode=PhaseSums.of(s for s in steps if not s.is_prefill),
-            prefill=PhaseSums.of(s for s in steps if s.is_prefill),
-            expand=lambda: ((step, 1) for step in steps),
-        )
-
     @property
     def steps(self) -> tuple[StepDescriptor, ...]:
-        """Every forward pass in order, expanded on demand in O(passes)."""
+        """Every forward pass in order, expanded on demand in O(passes).
+
+        No code in the package reads it; it stays until the perfbench tracer
+        counts passes from the phase sums (ROADMAP item 1).
+        """
         return tuple(chain.from_iterable(repeat(step, n) for step, n in self.expand()))
-
-    @property
-    def decode_steps(self) -> tuple[StepDescriptor, ...]:
-        return tuple(s for s in self.steps if not s.is_prefill)
-
-    @property
-    def prefill_steps(self) -> tuple[StepDescriptor, ...]:
-        return tuple(s for s in self.steps if s.is_prefill)
-
-    @property
-    def finalized_total(self) -> int:
-        return sum(step.finalized_tokens * n for step, n in self.expand() if not step.is_prefill)
 
 
 # Finalization quotas use a small tolerance so rational tpf values such as 3.1
@@ -164,36 +130,17 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def _finalized_sizes(tokens: int, steps: int, tpf: float) -> Iterator[int]:
-    """Per-step finalized-token counts over ``steps`` passes, summing to ``tokens``.
+def _finalized_sizes(tokens: int, tpf: float) -> Iterator[int]:
+    """Tokens finalized by each AR pass, summing to ``tokens``.
 
     With tpf = 1 this is [1] * tokens; a partial trailing quota is truncated.
-    When ``steps`` exceeds what the quota needs (a partial final block ran its
-    nominal step count), trailing steps finalize zero tokens.
     """
     a, b, m = _quota_line(tpf)
     prev = 0
-    for i in range(1, steps + 1):
+    for i in range(1, _step_count(tokens, tpf) + 1):
         cur = min(tokens, (a * i + b) // m)
         yield cur - prev
         prev = cur
-
-
-def _size_runs(tokens: int, steps: int, tpf: float) -> Iterator[tuple[int, int]]:
-    """``_finalized_sizes`` as (size, count) runs of equal consecutive sizes.
-
-    ``steps`` is at least what the quota needs to finalize ``tokens``. At an
-    integer tpf every quota is exactly i*tpf, so the sizes are tpf (full
-    quotas), then the remainder, then zeros: at most three runs, in O(1).
-    """
-    if not float(tpf).is_integer():  # tpf may be a Python int
-        for size, group in groupby(_finalized_sizes(tokens, steps, tpf)):
-            yield size, sum(1 for _ in group)
-        return
-    full, rem = divmod(tokens, int(tpf))
-    for size, count in ((int(tpf), full), (rem, 1 if rem else 0), (0, steps - full - (rem > 0))):
-        if count:
-            yield size, count
 
 
 # ---------------------------------------------------------------------------
@@ -265,47 +212,36 @@ def _block_sums(wl: Workload, block_size: int, tpf: float) -> PhaseSums:
 
 def _ar_runs(wl: Workload, tpf: float) -> Iterator[Run]:
     ctx = wl.prompt_len
-    for size in _finalized_sizes(wl.gen_len, _step_count(wl.gen_len, tpf), tpf):
+    for size in _finalized_sizes(wl.gen_len, tpf):
         ctx += size
-        yield StepDescriptor(size, ctx, ctx - size, False, size), 1
+        yield StepDescriptor(size, ctx, False), 1
 
 
 def _dlm_runs(wl: Workload, accel: AccelerationConfig) -> Iterator[Run]:
     seq = wl.total_len
-    sizes = _size_runs(wl.gen_len, _step_count(wl.gen_len, accel.tpf), accel.tpf)
+    k = _step_count(wl.gen_len, accel.tpf)
+    full = StepDescriptor(seq, seq, False)
     if not accel.dual_cache:
-        for size, count in sizes:
-            yield StepDescriptor(seq, seq, 0, False, size), count
+        yield full, k
         return
-    window = min(accel.dual_cache_block, seq)
+    interval = accel.cache_refresh_interval
+    window = StepDescriptor(min(accel.dual_cache_block, seq), seq, False)
+    if window == full:  # a window over the whole sequence is a refresh pass
+        yield full, k + -(-k // interval)
+        return
     # a full re-encode opens every cycle of cache_refresh_interval window passes
     # and builds the prefix+suffix cache for it
-    refresh = StepDescriptor(seq, seq, 0, False, 0)
-    room = 0  # window passes left in the current cycle
-    for size, count in sizes:
-        step = StepDescriptor(window, seq, seq - window, False, size)
-        while count:
-            if not room:
-                yield refresh, 1
-                room = accel.cache_refresh_interval
-            n = min(count, room)
-            yield step, n
-            count -= n
-            room -= n
+    for done in range(0, k, interval):
+        yield full, 1
+        yield window, min(interval, k - done)
 
 
 def _block_runs(wl: Workload, block_size: int, tpf: float) -> Iterator[Run]:
+    # a partial final block runs the same passes as a full one
     n = _step_count(block_size, tpf)
-    full, rem = divmod(wl.gen_len, block_size)
-    # every full block finalizes the same sizes; only a partial final block differs
-    blocks = [(block_size, tuple(_size_runs(block_size, n, tpf)))] * full
-    if rem:
-        blocks.append((rem, _size_runs(rem, n, tpf)))
-    prefix = wl.prompt_len
-    for tokens, sizes in blocks:
-        for size, count in sizes:
-            yield StepDescriptor(tokens, prefix + tokens, prefix, False, size), count
-        prefix += tokens
+    for start in range(0, wl.gen_len, block_size):
+        tokens = min(block_size, wl.gen_len - start)
+        yield StepDescriptor(tokens, wl.prompt_len + start + tokens, False), n
 
 
 def _runs(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig) -> Iterator[Run]:
@@ -314,7 +250,7 @@ def _runs(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfi
         yield from _dlm_runs(wl, accel)
         return
     if wl.prompt_len > 0:
-        yield StepDescriptor(wl.prompt_len, wl.prompt_len, 0, True, 0), 1
+        yield StepDescriptor(wl.prompt_len, wl.prompt_len, True), 1
     if arch is Architecture.AR:
         yield from _ar_runs(wl, accel.tpf)
     else:

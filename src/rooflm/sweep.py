@@ -120,6 +120,7 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     ``models`` maps architecture name to a model document (its ``arch`` field
     may be omitted; given, it must equal the key); ``accel`` maps architecture name
     to an acceleration document; ``hardware`` is an inline hardware document.
+    A ``models`` or ``accel`` entry must name an architecture the sweep runs.
     """
     data = json_object(data, "sweep spec")
     unknown = sorted(set(data) - set(_SPEC_FIELDS))
@@ -152,10 +153,16 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
         }
     if "hardware" in data:
         kwargs["hardware"] = hardware_from_dict(data["hardware"], strict)
-    spec = SweepSpec(**kwargs)
+    architectures = kwargs.get("architectures", SweepSpec.architectures)
+    unused = [
+        ("unused_entry", f"{name}[{arch.value!r}] is for an architecture missing from architectures")
+        for name in ("models", "accel") for arch in kwargs.get(name, ()) if arch not in architectures
+    ]
+    if unused:
+        raise ConfigValidationError(unused)
     if extended_lengths and "gen_lens" not in data:
-        spec = SweepSpec(**{**kwargs, "gen_lens": EXTENDED_GEN_LENS})
-    return validate_sweep_spec(spec)
+        kwargs["gen_lens"] = EXTENDED_GEN_LENS
+    return validate_sweep_spec(SweepSpec(**kwargs))
 
 
 @dataclass(frozen=True)

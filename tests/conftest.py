@@ -1,8 +1,41 @@
+from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
 
 from rooflm.config import HardwareSpec, ModelConfig, Workload
+from rooflm.schedule import DecodeSchedule, PhaseSums
+
+
+def passes(schedule, prefill=False):
+    """Every pass of one phase of ``schedule``, in order, its runs flattened."""
+    runs = ((step, n) for step, n in schedule.expand() if step.is_prefill == prefill)
+    return tuple(chain.from_iterable(repeat(step, n) for step, n in runs))
+
+
+def phase_sums(steps):
+    """The ``PhaseSums`` of explicitly listed passes, summed one pass at a time."""
+    count = active = active_context = context = max_active = 0
+    for step in steps:
+        s, ctx = step.active_tokens, step.context_len
+        count += 1
+        active += s
+        active_context += s * ctx
+        context += ctx
+        max_active = max(max_active, s)
+    return PhaseSums(count, active, active_context, context, max_active)
+
+
+def schedule_of(arch, batch, steps):
+    """A schedule of explicitly listed passes, each its own run."""
+    steps = tuple(steps)
+    return DecodeSchedule(
+        arch=arch,
+        batch=batch,
+        decode=phase_sums(s for s in steps if not s.is_prefill),
+        prefill=phase_sums(s for s in steps if s.is_prefill),
+        expand=lambda: ((step, 1) for step in steps),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,9 @@ from rooflm.analytic import (
     total_cost,
 )
 from rooflm.config import Architecture, HardwareSpec, ModelConfig, Workload
-from rooflm.schedule import DecodeSchedule, StepDescriptor, build_schedule
+from rooflm.schedule import StepDescriptor, build_schedule
+
+from conftest import schedule_of
 
 
 def wl(batch=1, prompt=0, gen=16):
@@ -127,7 +129,7 @@ class TestFormulaFidelity:
 
 class TestStepCost:
     def test_itemized_toy(self, tiny_cfg, toy_hw):
-        step = StepDescriptor(1, 4, 3, False, 1)
+        step = StepDescriptor(1, 4, False)
         cost = step_cost(tiny_cfg, step, toy_hw)
         # qkv 24 + out 8, scores 16 + attn.V 16, ffn 32
         assert cost.projection_flops == 32
@@ -136,10 +138,10 @@ class TestStepCost:
         assert cost.flops == 96
 
     def test_full_sequence_pass_scales_with_active_tokens(self, tiny_cfg, toy_hw):
-        assert step_cost(tiny_cfg, StepDescriptor(4, 4, 0, False, 4), toy_hw).flops == 384
+        assert step_cost(tiny_cfg, StepDescriptor(4, 4, False), toy_hw).flops == 384
 
     def test_mops_formula(self, tiny_cfg, toy_hw):
-        step = StepDescriptor(1, 4, 3, False, 1)
+        step = StepDescriptor(1, 4, False)
         cost = step_cost(tiny_cfg, step, toy_hw, batch=3)
         bpe = toy_hw.bytes_per_element
         assert cost.weights_read == bpe * tiny_cfg.n_params
@@ -147,7 +149,7 @@ class TestStepCost:
         assert cost.activation_io == bpe * ACTIVATION_TRAFFIC_ELEMS * 3 * tiny_cfg.n_l * 1 * tiny_cfg.d
 
     def test_component_sums_match_totals(self, toy_cfg, toy_hw):
-        cost = step_cost(toy_cfg, StepDescriptor(3, 9, 6, False, 3), toy_hw, batch=2)
+        cost = step_cost(toy_cfg, StepDescriptor(3, 9, False), toy_hw, batch=2)
         comp = cost.components
         assert cost.flops == comp["projection_flops"] + comp["attention_flops"] + comp["ffn_flops"]
         assert cost.mops == comp["weights_read"] + comp["kv_read_write"] + comp["activation_io"]
@@ -157,21 +159,21 @@ class TestStepCost:
     def test_linearity_in_active_tokens(self, s, ctx_extra, k):
         # at fixed context, every FLOP component is exactly linear in s
         ctx = k * s + ctx_extra
-        a = step_cost(TOY_CFG, StepDescriptor(s, ctx, ctx - s, False, s), TOY_HW)
-        b = step_cost(TOY_CFG, StepDescriptor(k * s, ctx, ctx - k * s, False, 0), TOY_HW)
+        a = step_cost(TOY_CFG, StepDescriptor(s, ctx, False), TOY_HW)
+        b = step_cost(TOY_CFG, StepDescriptor(k * s, ctx, False), TOY_HW)
         assert b.projection_flops == k * a.projection_flops
         assert b.ffn_flops == k * a.ffn_flops
         assert b.attention_flops == k * a.attention_flops
 
     def test_linearity_in_layers(self, toy_cfg, toy_hw):
-        step = StepDescriptor(2, 8, 6, False, 2)
+        step = StepDescriptor(2, 8, False)
         single = step_cost(toy_cfg, step, toy_hw)
         stacked = step_cost(replace(toy_cfg, n_l=3 * toy_cfg.n_l), step, toy_hw)
         assert stacked.flops == 3 * single.flops
 
     def test_attention_linear_in_context(self, toy_cfg, toy_hw):
-        a = step_cost(toy_cfg, StepDescriptor(1, 8, 7, False, 1), toy_hw)
-        b = step_cost(toy_cfg, StepDescriptor(1, 16, 15, False, 1), toy_hw)
+        a = step_cost(toy_cfg, StepDescriptor(1, 8, False), toy_hw)
+        b = step_cost(toy_cfg, StepDescriptor(1, 16, False), toy_hw)
         assert b.attention_flops == 2 * a.attention_flops
         assert b.projection_flops == a.projection_flops
 
@@ -195,7 +197,7 @@ class TestTotalCost:
     def test_additive_over_concatenation(self, toy_cfg, toy_hw):
         s1 = build_schedule(Architecture.AR, toy_cfg, wl(gen=5))
         s2 = build_schedule(Architecture.AR, toy_cfg, wl(gen=9))
-        joined = DecodeSchedule.from_steps(Architecture.AR, 1, s1.steps + s2.steps)
+        joined = schedule_of(Architecture.AR, 1, s1.steps + s2.steps)
         lhs = total_cost(joined, toy_cfg, toy_hw).decode
         a, b = (total_cost(s, toy_cfg, toy_hw).decode for s in (s1, s2))
         assert lhs.flops == pytest.approx(a.flops + b.flops, rel=1e-15)

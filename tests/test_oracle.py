@@ -16,7 +16,9 @@ from rooflm.oracle import (
     default_battery,
     oracle_check,
 )
-from rooflm.schedule import DecodeSchedule, StepDescriptor, build_schedule
+from rooflm.schedule import StepDescriptor, build_schedule
+
+from conftest import passes, schedule_of
 
 TINY = ModelConfig(n_l=1, n_h=1, n_d=2, d=2, alpha=2.0, n_params=100.0)
 HW = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
@@ -24,7 +26,7 @@ HW = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
 
 class TestCountForward:
     def test_itemized_hand_count(self):
-        ops = {o.op_name: o for o in count_forward(TINY, StepDescriptor(1, 4, 3, False, 1), HW)}
+        ops = {o.op_name: o for o in count_forward(TINY, StepDescriptor(1, 4, False), HW)}
         assert ops["qkv_proj"].flops == 24
         assert ops["attn_scores"].flops == 16
         assert ops["attn_value"].flops == 16
@@ -33,34 +35,34 @@ class TestCountForward:
         assert fsum(o.flops for o in ops.values()) == 96
 
     def test_full_sequence_pass_is_four_times(self):
-        total = fsum(o.flops for o in count_forward(TINY, StepDescriptor(4, 4, 0, False, 4), HW))
+        total = fsum(o.flops for o in count_forward(TINY, StepDescriptor(4, 4, False), HW))
         assert total == 384
 
     def test_no_cache_no_read(self):
-        ops = {o.op_name: o for o in count_forward(TINY, StepDescriptor(1, 1, 0, False, 1), HW)}
+        ops = {o.op_name: o for o in count_forward(TINY, StepDescriptor(1, 1, False), HW)}
         assert ops["kv_cache_read"].bytes == 0
 
     def test_operator_names_complete(self):
-        ops = count_forward(TINY, StepDescriptor(1, 4, 3, False, 1), HW)
+        ops = count_forward(TINY, StepDescriptor(1, 4, False), HW)
         assert tuple(o.op_name for o in ops) == OP_NAMES
 
     def test_pure_compute_or_pure_io(self):
-        for op in count_forward(TINY, StepDescriptor(2, 8, 6, False, 2), HW, batch=3):
+        for op in count_forward(TINY, StepDescriptor(2, 8, False), HW, batch=3):
             assert op.flops >= 0 and op.bytes >= 0
             assert op.flops == 0 or op.bytes == 0
 
     def test_weight_read_once_per_pass(self):
-        ops = {o.op_name: o for o in count_forward(TINY, StepDescriptor(1, 4, 3, False, 1), HW, batch=7)}
+        ops = {o.op_name: o for o in count_forward(TINY, StepDescriptor(1, 4, False), HW, batch=7)}
         assert ops["weight_read"].bytes == HW.bytes_per_element * TINY.n_params
 
     @settings(max_examples=60, deadline=None)
     @given(b=st.integers(1, 8), k=st.integers(2, 4), s=st.integers(1, 8), extra=st.integers(0, 8))
     def test_exact_linearity_in_batch_layers_tokens(self, b, k, s, extra):
-        step = StepDescriptor(s, s + extra, extra, False, s)
+        step = StepDescriptor(s, s + extra, False)
         base = fsum(o.flops for o in count_forward(TINY, step, HW, batch=b))
         batched = fsum(o.flops for o in count_forward(TINY, step, HW, batch=k * b))
         layered = fsum(o.flops for o in count_forward(replace(TINY, n_l=k), step, HW, batch=b))
-        scaled_step = StepDescriptor(k * s, s + extra, extra, False, 0)
+        scaled_step = StepDescriptor(k * s, s + extra, False)
         scaled = fsum(o.flops for o in count_forward(TINY, scaled_step, HW, batch=b))
         assert batched == k * base
         assert layered == k * base
@@ -69,7 +71,7 @@ class TestCountForward:
 
 def _literal_operators(cfg, step, hw, batch):
     """The ten operator values as formulas written out in full, each evaluated left to right."""
-    s, ctx, cached = step.active_tokens, step.context_len, step.cached_kv_len
+    s, ctx = step.active_tokens, step.context_len
     d, n_l, a = cfg.d, cfg.n_l, cfg.alpha
     bpe = hw.bytes_per_element
     bl = batch * n_l
@@ -80,7 +82,7 @@ def _literal_operators(cfg, step, hw, batch):
         ("out_proj", bl * 2.0 * s * d**2, 0.0),
         ("ffn_up", bl * 2.0 * s * d * (a * d), 0.0),
         ("ffn_down", bl * 2.0 * s * (a * d) * d, 0.0),
-        ("kv_cache_read", 0.0, bpe * bl * 2.0 * d * cached),
+        ("kv_cache_read", 0.0, bpe * bl * 2.0 * d * (ctx - s)),
         ("kv_cache_write", 0.0, bpe * bl * 2.0 * d * s),
         ("weight_read", 0.0, bpe * cfg.n_params),
         ("activation_io", 0.0, bpe * ACTIVATION_TRAFFIC_ELEMS * bl * s * d),
@@ -98,17 +100,15 @@ def _literal_operators(cfg, step, hw, batch):
     bpe=st.sampled_from((1, 2, 4)),
     batch=st.integers(1, 8),
     s=st.integers(1, 2**50),
-    extra=st.integers(0, 2**50),
-    cached=st.booleans(),
+    extra=st.just(0) | st.integers(0, 2**50),
 )
-@example(n_l=3, d=16, alpha=3.3, n_params=8123.7, bpe=2, batch=5, s=3, extra=7, cached=True)
+@example(n_l=3, d=16, alpha=3.3, n_params=8123.7, bpe=2, batch=5, s=3, extra=7)
 # (bl * 6.0 * s) * d**2 != (bl * 6.0 * d**2) * s here
-@example(n_l=61, d=33_788_082, alpha=3.3, n_params=8123.7, bpe=4, batch=7, s=140_858_649_188_653, extra=12_345,
-         cached=True)
-def test_count_forward_equals_literal_formulas(n_l, d, alpha, n_params, bpe, batch, s, extra, cached):
+@example(n_l=61, d=33_788_082, alpha=3.3, n_params=8123.7, bpe=4, batch=7, s=140_858_649_188_653, extra=12_345)
+def test_count_forward_equals_literal_formulas(n_l, d, alpha, n_params, bpe, batch, s, extra):
     cfg = ModelConfig(n_l=n_l, n_h=1, n_d=d, d=d, alpha=alpha, n_params=n_params)
     hw = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18, bytes_per_element=bpe)
-    step = StepDescriptor(s, s + extra, extra if cached else 0, False, s)
+    step = StepDescriptor(s, s + extra, False)
     ops = [tuple(op) for op in count_forward(cfg, step, hw, batch)]
     assert ops == _literal_operators(cfg, step, hw, batch)
 
@@ -123,8 +123,8 @@ class TestCountSchedule:
         assert count_schedule(sched, TINY, HW).decode.flops == 1536
 
     def test_single_step_equals_count_forward(self):
-        step = StepDescriptor(2, 6, 4, False, 2)
-        sched = DecodeSchedule.from_steps(Architecture.AR, 3, (step,))
+        step = StepDescriptor(2, 6, False)
+        sched = schedule_of(Architecture.AR, 3, (step,))
         total = count_schedule(sched, TINY, HW).decode
         by_hand = count_forward(TINY, step, HW, batch=3)
         assert total.flops == fsum(o.flops for o in by_hand)
@@ -134,7 +134,7 @@ class TestCountSchedule:
         cfg = ModelConfig(n_l=3, n_h=2, n_d=8, d=16, alpha=2.0, n_params=5000.0)
         sched = build_schedule(Architecture.AR, cfg, Workload(2, 5, 12))
         flops = [
-            fsum(o.flops for o in count_forward(cfg, s, HW, batch=2)) for s in sched.decode_steps
+            fsum(o.flops for o in count_forward(cfg, s, HW, batch=2)) for s in passes(sched)
         ]
         diffs = {b - a for a, b in zip(flops, flops[1:])}
         assert diffs == {2 * cfg.n_l * 4 * cfg.d}
@@ -151,7 +151,7 @@ class TestCountSchedule:
         sched = build_schedule(Architecture.AR, cfg, Workload(2, 3, 40))
         shuffled_steps = list(sched.steps)
         random.Random(7).shuffle(shuffled_steps)
-        shuffled = DecodeSchedule.from_steps(sched.arch, sched.batch, shuffled_steps)
+        shuffled = schedule_of(sched.arch, sched.batch, shuffled_steps)
         a = count_schedule(sched, cfg, HW)
         b = count_schedule(shuffled, cfg, HW)
         assert a.decode.flops == b.decode.flops
@@ -190,10 +190,9 @@ ROUNDING_CFG = ModelConfig(n_l=3, n_h=2, n_d=8, d=16, alpha=3.3, n_params=8123.7
 def _fsum_every_pass(sched, cfg, prefill):
     """Per component, the fsum of count_forward over every pass of one phase, one pass at a time."""
     parts = {name: [] for name in CostBreakdown().components}
-    for step in sched.steps:
-        if step.is_prefill == prefill:
-            for op in count_forward(cfg, step, HW, sched.batch):
-                parts[COMPONENT[op.op_name]].append(op.flops + op.bytes)  # one of the two is 0
+    for step in passes(sched, prefill):
+        for op in count_forward(cfg, step, HW, sched.batch):
+            parts[COMPONENT[op.op_name]].append(op.flops + op.bytes)  # one of the two is 0
     return {name: fsum(values) for name, values in parts.items()}
 
 

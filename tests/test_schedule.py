@@ -1,5 +1,6 @@
 import math
-from itertools import groupby
+from fractions import Fraction
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.oracle import count_schedule
-from rooflm.schedule import PhaseSums, StepDescriptor, build_schedule
+from rooflm.schedule import StepDescriptor, _step_count, build_schedule
+
+from conftest import passes, phase_sums
 
 
 def cfg_for(arch, block_size=2):
@@ -35,14 +38,13 @@ class TestSpecExamples:
     def test_ar_with_prompt(self):
         sched = build_schedule(Architecture.AR, cfg_for(Architecture.AR), Workload(1, 2, 3))
         assert [s.is_prefill for s in sched.steps] == [True, False, False, False]
-        assert sched.steps[0] == StepDescriptor(2, 2, 0, True, 0)
-        assert [(s.active_tokens, s.context_len) for s in sched.decode_steps] == [(1, 3), (1, 4), (1, 5)]
-        assert [s.cached_kv_len for s in sched.decode_steps] == [2, 3, 4]
+        assert sched.steps[0] == StepDescriptor(2, 2, True)
+        assert [(s.active_tokens, s.context_len) for s in passes(sched)] == [(1, 3), (1, 4), (1, 5)]
 
     def test_dlm_full_sequence_steps(self):
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, 3))
         assert len(sched.steps) == 3
-        assert all(s == StepDescriptor(3, 3, 0, False, 1) for s in sched.steps)
+        assert all(s == StepDescriptor(3, 3, False) for s in sched.steps)
 
     def test_dlm_parallel_step_count(self):
         sched = build_schedule(
@@ -54,12 +56,7 @@ class TestSpecExamples:
         sched = build_schedule(
             Architecture.BLOCK_DIFFUSION, cfg_for(Architecture.BLOCK_DIFFUSION), Workload(1, 0, 4)
         )
-        assert [(s.active_tokens, s.context_len, s.cached_kv_len) for s in sched.steps] == [
-            (2, 2, 0),
-            (2, 2, 0),
-            (2, 4, 2),
-            (2, 4, 2),
-        ]
+        assert [(s.active_tokens, s.context_len) for s in sched.steps] == [(2, 2), (2, 2), (2, 4), (2, 4)]
 
 
 class TestDefaults:
@@ -67,14 +64,14 @@ class TestDefaults:
     def test_ar_default_step_count(self, gen_len):
         sched = build_schedule(Architecture.AR, cfg_for(Architecture.AR), Workload(1, 0, gen_len))
         assert sched.decode.passes == gen_len
-        assert all(s.active_tokens == 1 for s in sched.decode_steps)
+        assert all(s.active_tokens == 1 for s in passes(sched))
 
     @pytest.mark.parametrize("gen_len", [1, 7, 64])
     def test_dlm_default_step_count(self, gen_len):
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 5, gen_len))
         assert sched.decode.passes == gen_len
         seq = 5 + gen_len
-        assert all(s.active_tokens == seq and s.cached_kv_len == 0 for s in sched.decode_steps)
+        assert all(s.active_tokens == seq == s.context_len for s in passes(sched))
 
     @pytest.mark.parametrize("gen_len,block,expected", [(4, 2, 4), (5, 2, 6), (64, 32, 64), (10, 4, 12)])
     def test_block_default_step_count(self, gen_len, block, expected):
@@ -88,21 +85,20 @@ class TestDefaults:
     def test_no_prefill_without_prompt(self):
         for arch in Architecture:
             sched = build_schedule(arch, cfg_for(arch), Workload(1, 0, 4))
-            assert not sched.prefill_steps
+            assert not passes(sched, prefill=True)
 
     def test_dlm_never_has_prefill(self):
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 10, 4))
-        assert not sched.prefill_steps
+        assert not passes(sched, prefill=True)
 
 
 class TestDualCache:
     def test_window_and_refresh(self):
         accel = AccelerationConfig(dual_cache=True, dual_cache_block=4, cache_refresh_interval=3)
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, 6), accel)
-        kinds = [(s.active_tokens, s.cached_kv_len) for s in sched.steps]
+        kinds = [(s.active_tokens, s.context_len) for s in sched.steps]
         # refresh pass opens each 3-step cycle, then window steps
-        assert kinds == [(6, 0), (4, 2), (4, 2), (4, 2), (6, 0), (4, 2), (4, 2), (4, 2)]
-        assert sched.finalized_total == 6
+        assert kinds == [(6, 6), (4, 6), (4, 6), (4, 6), (6, 6), (4, 6), (4, 6), (4, 6)]
 
     def test_window_clamped_to_sequence(self):
         accel = AccelerationConfig(dual_cache=True, dual_cache_block=32, cache_refresh_interval=100)
@@ -128,10 +124,15 @@ class TestTpfRounding:
 
 class TestProperties:
     @settings(max_examples=120, deadline=None)
-    @given(arch=small_arch, wl=small_wl, accel=small_accel)
-    def test_token_conservation(self, arch, wl, accel):
-        sched = build_schedule(arch, cfg_for(arch), wl, accel)
-        assert sched.finalized_total == wl.gen_len
+    @given(arch=st.sampled_from([Architecture.AR, Architecture.BLOCK_DIFFUSION]), block=st.integers(1, 24),
+           wl=small_wl, accel=small_accel)
+    def test_token_conservation(self, arch, block, wl, accel):
+        # an AR pass writes the tokens it finalizes; a block's run writes the block
+        sched = build_schedule(arch, cfg_for(arch, block), wl, accel)
+        if arch is Architecture.AR:
+            assert sum(s.active_tokens for s in passes(sched)) == wl.gen_len
+        else:
+            assert sum(step.active_tokens for step, _ in sched.expand() if not step.is_prefill) == wl.gen_len
 
     @settings(max_examples=120, deadline=None)
     @given(arch=small_arch, wl=small_wl, accel=small_accel)
@@ -139,7 +140,6 @@ class TestProperties:
         sched = build_schedule(arch, cfg_for(arch), wl, accel)
         for s in sched.steps:
             assert 1 <= s.active_tokens <= s.context_len <= wl.total_len
-            assert s.cached_kv_len in (0, s.context_len - s.active_tokens)
 
     @settings(max_examples=80, deadline=None)
     @given(arch=st.sampled_from([Architecture.AR, Architecture.BLOCK_DIFFUSION]), wl=small_wl,
@@ -160,9 +160,11 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(wl=small_wl)
     def test_ar_cache_grows_by_step(self, wl):
+        # each pass's context is the prompt plus every token written so far
         sched = build_schedule(Architecture.AR, cfg_for(Architecture.AR), wl)
-        for s in sched.decode_steps:
-            assert s.cached_kv_len == s.context_len - s.active_tokens
+        decode = passes(sched)
+        written = accumulate(s.active_tokens for s in decode)
+        assert [s.context_len for s in decode] == [wl.prompt_len + w for w in written]
 
 
 run_wl = st.builds(
@@ -172,6 +174,7 @@ run_wl = st.builds(
     gen_len=st.integers(1, 200),
 )
 INTEGER_TPF = (1.0, 2.0, 3.0, 7.0)
+ANY_TPF = INTEGER_TPF + (1.5, 3.1, 7.3)
 
 
 class TestRuns:
@@ -204,8 +207,7 @@ class TestRuns:
         assert runs == [(step, len(list(group))) for step, group in groupby(sched.steps)]
         for sums, prefill in ((sched.decode, False), (sched.prefill, True)):
             assert sum(n for step, n in runs if step.is_prefill == prefill) == sums.passes
-            assert PhaseSums.of(s for s in sched.steps if s.is_prefill == prefill) == sums
-        assert sched.finalized_total == wl.gen_len
+            assert phase_sums(passes(sched, prefill)) == sums
 
     @pytest.mark.parametrize("arch", list(Architecture))
     @pytest.mark.parametrize("dual_cache", [False, True])
@@ -219,64 +221,75 @@ class TestRuns:
         )
         assert list(as_int.expand()) == list(as_float.expand())
         assert as_int.steps == as_float.steps
-        assert as_int.finalized_total == wl.gen_len
         assert count_schedule(as_int, cfg, hw) == count_schedule(as_float, cfg, hw)
 
     @settings(max_examples=100, deadline=None)
-    @given(arch=st.sampled_from([Architecture.DLM, Architecture.BLOCK_DIFFUSION]), block=st.integers(1, 24),
-           wl=run_wl, tpf=st.sampled_from(INTEGER_TPF))
-    def test_integer_tpf_finalizes_the_quota(self, arch, block, wl, tpf):
-        # each block (DLM: the whole generation) finalizes min(tokens, i*tpf) tokens in its first i passes
-        t = int(tpf)
-        sched = build_schedule(arch, cfg_for(arch, block), wl, AccelerationConfig(tpf=tpf))
-        steps = sched.decode_steps
-        if arch is Architecture.DLM:
-            assert len(steps) == -(-wl.gen_len // t)
-            blocks = [(wl.gen_len, steps)]
-        else:
-            n = -(-block // t)
-            blocks = [(steps[i].active_tokens, steps[i:i + n]) for i in range(0, len(steps), n)]
-            assert sum(tokens for tokens, _ in blocks) == wl.gen_len
-        for tokens, chunk in blocks:
-            assert [s.finalized_tokens for s in chunk] == [
-                min(tokens, i * t) - min(tokens, (i - 1) * t) for i in range(1, len(chunk) + 1)
-            ]
-
-    @settings(max_examples=60, deadline=None)
     @given(wl=run_wl, tpf=st.sampled_from(INTEGER_TPF))
-    def test_dlm_integer_tpf_at_most_three_runs(self, wl, tpf):
-        # full quota, remainder, zero tail
-        sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), wl, AccelerationConfig(tpf=tpf))
-        assert len(list(sched.expand())) <= 3
+    def test_integer_tpf_finalizes_the_quota(self, wl, tpf):
+        # the first i AR passes finalize min(gen_len, i*tpf) tokens
+        t = int(tpf)
+        sched = build_schedule(Architecture.AR, cfg_for(Architecture.AR), wl, AccelerationConfig(tpf=tpf))
+        assert [s.active_tokens for s in passes(sched)] == [
+            min(wl.gen_len, i * t) - min(wl.gen_len, (i - 1) * t) for i in range(1, -(-wl.gen_len // t) + 1)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=st.integers(1, 500), tpf=st.sampled_from(ANY_TPF) | st.floats(1.0, 64.0))
+    @example(310, 3.1)  # 310 / 3.1 evaluates to 100.00000000000001
+    def test_step_count_is_the_least_reaching_quota(self, tokens, tpf):
+        # the quota after i passes is floor(i*tpf + eps), on the exact binary values
+        def quota(i):
+            return math.floor(i * Fraction(tpf) + Fraction(1e-6))
+
+        k = _step_count(tokens, tpf)
+        assert k >= 1 and quota(k) >= tokens
+        assert k == 1 or quota(k - 1) < tokens
 
     @settings(max_examples=60, deadline=None)
-    @given(wl=run_wl, tpf=st.sampled_from(INTEGER_TPF), interval=st.integers(1, 9), window=st.integers(1, 64))
-    def test_dual_cache_integer_tpf_two_runs_per_cycle(self, wl, tpf, interval, window):
+    @given(wl=run_wl, tpf=st.sampled_from(ANY_TPF))
+    @example(Workload(1, 0, 100), 3.1)
+    @example(Workload(2, 9, 50), 7.3)
+    def test_dlm_one_decode_run(self, wl, tpf):
+        sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), wl, AccelerationConfig(tpf=tpf))
+        seq = wl.total_len
+        assert list(sched.expand()) == [(StepDescriptor(seq, seq, False), _step_count(wl.gen_len, tpf))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(wl=run_wl, tpf=st.sampled_from(ANY_TPF), interval=st.integers(1, 9), window=st.integers(1, 64))
+    @example(Workload(1, 0, 50), 3.1, 4, 8)
+    @example(Workload(1, 0, 50), 3.1, 4, 80)
+    def test_dual_cache_two_runs_per_cycle(self, wl, tpf, interval, window):
         accel = AccelerationConfig(tpf=tpf, dual_cache=True, dual_cache_block=window, cache_refresh_interval=interval)
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), wl, accel)
-        cycles = -(-sched.decode.passes // (interval + 1))
-        # a refresh run and a window run per cycle, and one more where a cycle holds the remainder pass
-        assert 2 * cycles <= len(list(sched.expand())) <= 2 * cycles + 1
+        runs = list(sched.expand())
+        k = _step_count(wl.gen_len, tpf)
+        cycles = -(-k // interval)
+        if window >= wl.total_len:  # every pass re-encodes the whole sequence
+            assert len(runs) == 1
+        else:  # a refresh run and a window run per cycle
+            assert len(runs) == 2 * cycles
+            assert [n for _, n in runs[1::2]] == [min(interval, k - c * interval) for c in range(cycles)]
+        assert sum(n for _, n in runs) == cycles + k
 
     def test_dual_cache_runs_spelled_out(self):
         accel = AccelerationConfig(tpf=3.0, dual_cache=True, dual_cache_block=8, cache_refresh_interval=4)
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, 50), accel)
-        refresh, window, last = (StepDescriptor(50, 50, 0, False, 0), StepDescriptor(8, 50, 42, False, 3),
-                                 StepDescriptor(8, 50, 42, False, 2))
-        # 16 passes of 3 tokens and one of 2, in cycles of 4 window passes
-        assert list(sched.expand()) == [(refresh, 1), (window, 4)] * 4 + [(refresh, 1), (last, 1)]
+        refresh, window = StepDescriptor(50, 50, False), StepDescriptor(8, 50, False)
+        # 17 window passes in cycles of 4
+        assert list(sched.expand()) == [(refresh, 1), (window, 4)] * 4 + [(refresh, 1), (window, 1)]
 
     @settings(max_examples=60, deadline=None)
-    @given(wl=run_wl, tpf=st.sampled_from(INTEGER_TPF), block=st.integers(1, 24))
-    def test_block_diffusion_integer_tpf_runs_per_block(self, wl, tpf, block):
+    @given(wl=run_wl, tpf=st.sampled_from(ANY_TPF), block=st.integers(1, 24))
+    @example(Workload(1, 9, 53), 7.3, 6)
+    def test_block_diffusion_one_run_per_block(self, wl, tpf, block):
         sched = build_schedule(
             Architecture.BLOCK_DIFFUSION, cfg_for(Architecture.BLOCK_DIFFUSION, block), wl, AccelerationConfig(tpf=tpf)
         )
         runs = list(sched.expand())
         decode = [run for run in runs if not run[0].is_prefill]
-        blocks = -(-wl.gen_len // block)
+        n = _step_count(block, tpf)  # a partial final block runs as many passes as a full one
         assert len(runs) - len(decode) == (wl.prompt_len > 0)
-        assert len({step.cached_kv_len for step, _ in decode}) == blocks  # no run spans two blocks
-        assert len(decode) <= 3 * blocks
-        if block % tpf == 0 and wl.gen_len % block == 0:
-            assert len(decode) == blocks
+        assert decode == [
+            (StepDescriptor(min(block, wl.gen_len - start), wl.prompt_len + min(start + block, wl.gen_len), False), n)
+            for start in range(0, wl.gen_len, block)
+        ]
