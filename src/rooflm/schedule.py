@@ -130,19 +130,6 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def _finalized_sizes(tokens: int, tpf: float) -> Iterator[int]:
-    """Tokens finalized by each AR pass, summing to ``tokens``.
-
-    With tpf = 1 this is [1] * tokens; a partial trailing quota is truncated.
-    """
-    a, b, m = _quota_line(tpf)
-    prev = 0
-    for i in range(1, _step_count(tokens, tpf) + 1):
-        cur = min(tokens, (a * i + b) // m)
-        yield cur - prev
-        prev = cur
-
-
 # ---------------------------------------------------------------------------
 # Closed-form phase sums
 
@@ -211,10 +198,14 @@ def _block_sums(wl: Workload, block_size: int, tpf: float) -> PhaseSums:
 # Run expansion
 
 def _ar_runs(wl: Workload, tpf: float) -> Iterator[Run]:
-    ctx = wl.prompt_len
-    for size in _finalized_sizes(wl.gen_len, tpf):
-        ctx += size
-        yield StepDescriptor(size, ctx, False), 1
+    # the i-th pass finalizes the tokens its quota adds; a partial last quota is truncated
+    gen = wl.gen_len
+    a, b, m = _quota_line(tpf)
+    prev = 0
+    for i in range(1, _step_count(gen, tpf) + 1):
+        cur = min(gen, (a * i + b) // m)
+        yield StepDescriptor(cur - prev, wl.prompt_len + cur, False), 1
+        prev = cur
 
 
 def _dlm_runs(wl: Workload, accel: AccelerationConfig) -> Iterator[Run]:

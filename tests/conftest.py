@@ -1,4 +1,3 @@
-from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
@@ -8,9 +7,8 @@ from rooflm.schedule import DecodeSchedule, PhaseSums
 
 
 def passes(schedule, prefill=False):
-    """Every pass of one phase of ``schedule``, in order, its runs flattened."""
-    runs = ((step, n) for step, n in schedule.expand() if step.is_prefill == prefill)
-    return tuple(chain.from_iterable(repeat(step, n) for step, n in runs))
+    """Every pass of one phase of ``schedule``, in order."""
+    return tuple(s for s in schedule.steps if s.is_prefill == prefill)
 
 
 def phase_sums(steps):

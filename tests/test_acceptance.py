@@ -19,7 +19,7 @@ from rooflm.oracle import default_battery
 from rooflm.presets import A800_CLASS, AR_8B, BLOCK_DIFFUSION_8B, DLM_8B
 from rooflm.roofline import Regime, attainable_performance, ridge_point
 from rooflm.schedule import build_schedule
-from rooflm.sweep import SweepSpec, emit_report_set, run_sweep
+from rooflm.sweep import EXTENDED_GEN_LENS, SweepSpec, emit_report_set, run_sweep
 from rooflm.throughput import crossing_batch, estimate_throughput
 
 
@@ -265,12 +265,27 @@ def test_09_dual_cache_step_reduction():
     _report(9, "dual-cache per-step reduction")
 
 
-# SHA-256 of the default grid's sweep.csv, as recorded in perfbench/digests.json
-DEFAULT_SWEEP_CSV_SHA256 = "cdfb6b60b39b0e0191f7d43c640f171797c8de8cd3e709906701f672e2348128"
+# SHA-256 of every file of the built-in report sets, as the sweep writes them
+REPORT_SET_SHA256 = {
+    "default": {
+        "sweep.csv": "cdfb6b60b39b0e0191f7d43c640f171797c8de8cd3e709906701f672e2348128",
+        "throughput_vs_batch_p40.svg": "6955f762ccb7acfd651a8a0eb67ab9f5d2fe2f70cf6b1a76b01183ffbc6499e7",
+        "throughput_vs_batch_p920.svg": "c722483ea36a228cb298b216c291d4151bd3af92d831d7ff12dfa839fdcfea75",
+        "throughput_vs_gen_len_p40.svg": "3bd8b00dfbb8345c6ffb277165d6ac890023cba6570525658a0f68d923d454ad",
+        "throughput_vs_gen_len_p920.svg": "a91b56071525c430ae1cb538de1be51be3c00c0a1f95302fcfd88d1fe32a4c0e",
+    },
+    "extended": {
+        "sweep.csv": "13bde1e3fee064a65015faae9ddb02c82f4265771e37c73da9fc8247e001edcc",
+        "throughput_vs_batch_p40.svg": "c89d8a9f9ce1e6b9287b619f8d3bc1ff612b8f3778131c9173a946a28cb98521",
+        "throughput_vs_batch_p920.svg": "446812e86c79c1f3440bffa5653de0642d67a8bfeab5e26a2686402da9409b03",
+        "throughput_vs_gen_len_p40.svg": "06a5c3739f4192ca2d27376ef1996da18cd297c6e24d019e4b94abe19677973c",
+        "throughput_vs_gen_len_p920.svg": "9ff4c3adbfc18dabf83bbdf487108d501fc1dd74eada3ce49fda120808e3ed9e",
+    },
+}
 
 
 def test_10_determinism(tmp_path):
-    """Two default sweeps emit byte-identical CSV and SVG files, and the CSV is the recorded one."""
+    """Two default sweeps emit byte-identical CSV and SVG files, and they are the recorded ones."""
     spec = SweepSpec()
     first = emit_report_set(run_sweep(spec), tmp_path / "run1", spec)
     second = emit_report_set(run_sweep(spec), tmp_path / "run2", spec)
@@ -278,6 +293,14 @@ def test_10_determinism(tmp_path):
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes(), a.name
     assert any(p.suffix == ".csv" for p in first) and any(p.suffix == ".svg" for p in first)
-    csv_bytes = (tmp_path / "run1" / "sweep.csv").read_bytes()
-    assert hashlib.sha256(csv_bytes).hexdigest() == DEFAULT_SWEEP_CSV_SHA256
+    assert _digests(first) == REPORT_SET_SHA256["default"]
     _report(10, "deterministic reports")
+
+
+def test_extended_report_set_is_the_recorded_bytes(tmp_path):
+    spec = SweepSpec(gen_lens=EXTENDED_GEN_LENS)
+    assert _digests(emit_report_set(run_sweep(spec), tmp_path, spec)) == REPORT_SET_SHA256["extended"]
+
+
+def _digests(paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
