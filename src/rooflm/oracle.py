@@ -110,9 +110,9 @@ def _forward_values(cfg: ModelConfig, hw: HardwareSpec, batch: int) -> Callable[
     activations = bpe * ACTIVATION_TRAFFIC_ELEMS * bl
 
     def values(step: StepDescriptor) -> tuple:
-        s = step.active_tokens
+        s, ctx = step.active_tokens, step.context_len
         ms = matmul * s
-        attention = ms * step.context_len * d
+        attention = ms * ctx * d
         return (
             qkv * s * d_sq,
             attention,
@@ -120,7 +120,7 @@ def _forward_values(cfg: ModelConfig, hw: HardwareSpec, batch: int) -> Callable[
             ms * d_sq,
             ms * d * ad,
             ms * ad * d,
-            kv * (step.context_len - s),
+            kv * (ctx - s),
             kv * s,
             weights,
             activations * s * d,

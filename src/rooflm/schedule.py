@@ -228,11 +228,13 @@ def _dlm_runs(wl: Workload, accel: AccelerationConfig) -> Iterator[Run]:
 
 
 def _block_runs(wl: Workload, block_size: int, tpf: float) -> Iterator[Run]:
-    # a partial final block runs the same passes as a full one
+    # the full blocks end at P + j*G; a partial final block runs the same passes at P + gen
     n = _step_count(block_size, tpf)
-    for start in range(0, wl.gen_len, block_size):
-        tokens = min(block_size, wl.gen_len - start)
-        yield StepDescriptor(tokens, wl.prompt_len + start + tokens, False), n
+    full, rem = divmod(wl.gen_len, block_size)
+    for ctx in range(wl.prompt_len + block_size, wl.prompt_len + full * block_size + 1, block_size):
+        yield StepDescriptor(block_size, ctx, False), n
+    if rem:
+        yield StepDescriptor(rem, wl.total_len, False), n
 
 
 def _runs(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig) -> Iterator[Run]:
