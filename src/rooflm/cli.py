@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -126,12 +125,7 @@ def _cmd_ridge(args) -> int:
         hw = load_hardware_file(args.hardware, not args.lenient_config)
     else:
         hw = A800_CLASS
-    ridge = ridge_point(hw)
-    if not (math.isfinite(ridge) and ridge > 0):  # p_max / b_mem overflowed or underflowed
-        raise ConfigValidationError([(
-            "out_of_range", f"ridge point p_max / b_mem = {hw.p_max!r} / {hw.b_mem!r} is beyond the float range",
-        )])
-    print(f"{ridge:.6g}")
+    print(f"{ridge_point(hw):.6g}")
     return EXIT_OK
 
 
@@ -142,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, sweep_flags=False):
+    def add_common(p):
         p.add_argument("--intensity-source", choices=[s.value for s in IntensitySource],
                        default=IntensitySource.SCHEDULE.value,
                        help="intensity derivation: consistent schedule totals, or the published closed forms")
@@ -150,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fold the prompt pass into throughput (decode-only by default)")
         p.add_argument("--lenient-config", action="store_true",
                        help="warn about unknown config fields instead of rejecting them")
-        if sweep_flags:
-            p.add_argument("--extended-lengths", action="store_true",
-                           help="use the long-generation length grid (2048..16384)")
 
     p = sub.add_parser("analyze", help="single-point throughput/roofline/memory report")
     p.add_argument("--model", required=True)
@@ -165,7 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep writing CSV and SVG reports")
     p.add_argument("--spec", help="sweep spec JSON (defaults to the built-in grid)")
     p.add_argument("--out-dir", required=True)
-    add_common(p, sweep_flags=True)
+    add_common(p)
+    p.add_argument("--extended-lengths", action="store_true",
+                   help="use the long-generation length grid (2048..16384)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("oracle-check", help="closed-form vs operator-count discrepancy report")

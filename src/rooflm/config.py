@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ConfigValidationError
 
@@ -148,6 +148,9 @@ def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
             issues.append(("non_positive_field", f"{name} must be > 0, got {getattr(hw, name)!r}"))
     if hw.bytes_per_element not in _VALID_WIDTHS:
         issues.append(("non_positive_field", f"bytes_per_element must be one of {_VALID_WIDTHS}, got {hw.bytes_per_element!r}"))
+    # the ridge point p_max / b_mem must be finite and positive; a NaN field fails this too
+    if not (hw.p_max <= 0 or hw.b_mem <= 0 or 0 < hw.p_max / hw.b_mem < math.inf):
+        issues.append(("out_of_range", f"ridge point p_max / b_mem = {hw.p_max!r} / {hw.b_mem!r} is beyond the float range"))
     if issues:
         raise ConfigValidationError(issues)
     return hw
@@ -228,30 +231,29 @@ def json_object(data: Any, what: str) -> Mapping[str, Any]:
     return data
 
 
-def json_array(data: Mapping[str, Any], name: str, kind: type) -> tuple:
-    """``data[name]`` as a tuple, if it is an array whose items are all of JSON ``kind``."""
+def json_array(values: Sequence, name: str, kind: type) -> tuple:
+    """The array ``values`` of field ``name`` as a tuple, if its items are all of JSON ``kind``."""
     issues: list = []
-    values = _typed_value(name, data[name], list, issues) or ()
     items = tuple(_typed_value(f"{name}[{i}]", v, kind, issues) for i, v in enumerate(values))
     if issues:
         raise ConfigValidationError(issues)
     return items
 
 
-def _read(data: Any, kinds: Mapping[str, type], required: tuple[str, ...], what: str, strict: bool) -> dict[str, Any]:
-    """The fields of a ``what`` config document, each checked against its kind."""
-    data = json_object(data, f"{what} config")
+def read_fields(data: Any, kinds: Mapping[str, type], required: tuple[str, ...], what: str, strict: bool) -> dict[str, Any]:
+    """The fields of the JSON document ``what`` (e.g. ``"model config"``), each checked against its kind."""
+    data = json_object(data, what)
     unknown = sorted(set(data) - set(kinds))
     if unknown and strict:
         raise ConfigValidationError(
-            [("unknown_field", f"unknown field {k!r} in {what} config (allowed: {', '.join(kinds)})") for k in unknown]
+            [("unknown_field", f"unknown field {k!r} in {what} (allowed: {', '.join(kinds)})") for k in unknown]
         )
     for k in unknown:
-        warnings.warn(f"ignoring unknown field {k!r} in {what} config", stacklevel=3)
+        warnings.warn(f"ignoring unknown field {k!r} in {what}", stacklevel=3)
     missing = [k for k in required if k not in data]
     if missing:
         raise ConfigValidationError(
-            [("missing_field", f"missing required field {k!r} in {what} config") for k in missing]
+            [("missing_field", f"missing required field {k!r} in {what}") for k in missing]
         )
     issues: list = []
     fields = {k: _typed_value(k, data[k], kind, issues) for k, kind in kinds.items() if k in data}
@@ -264,7 +266,7 @@ _MODEL_FIELDS = {"arch": str, "n_l": int, "n_h": int, "n_d": int, "d": int, "alp
 
 
 def model_config_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Architecture, ModelConfig]:
-    f = _read(data, _MODEL_FIELDS, ("arch", "n_l", "n_h", "n_d", "d", "alpha"), "model", strict)
+    f = read_fields(data, _MODEL_FIELDS, ("arch", "n_l", "n_h", "n_d", "d", "alpha"), "model config", strict)
     arch = architecture_from_name(f["arch"])
     cfg = ModelConfig(
         n_l=f["n_l"],
@@ -284,7 +286,7 @@ _HARDWARE_FIELDS = {"p_max": float, "b_mem": float, "capacity": float, "bytes_pe
 
 
 def hardware_from_dict(data: Mapping[str, Any], strict: bool = True) -> HardwareSpec:
-    f = _read(data, _HARDWARE_FIELDS, ("p_max", "b_mem", "capacity"), "hardware", strict)
+    f = read_fields(data, _HARDWARE_FIELDS, ("p_max", "b_mem", "capacity"), "hardware config", strict)
     return validate_hardware(HardwareSpec(**f))
 
 
@@ -293,11 +295,12 @@ _ACCEL_FIELDS = {"tpf": float, "dual_cache": bool, "dual_cache_block": int, "cac
 
 
 def acceleration_from_dict(data: Mapping[str, Any], strict: bool = True) -> AccelerationConfig:
-    return validate_acceleration(AccelerationConfig(**_read(data, _ACCEL_FIELDS, (), "acceleration", strict)))
+    fields = read_fields(data, _ACCEL_FIELDS, (), "acceleration config", strict)
+    return validate_acceleration(AccelerationConfig(**fields))
 
 
 def workload_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Workload, AccelerationConfig]:
-    f = _read(data, _WORKLOAD_FIELDS, ("batch", "prompt_len", "gen_len"), "workload", strict)
+    f = read_fields(data, _WORKLOAD_FIELDS, ("batch", "prompt_len", "gen_len"), "workload config", strict)
     wl = Workload(batch=f["batch"], prompt_len=f["prompt_len"], gen_len=f["gen_len"])
     accel = acceleration_from_dict(f["accel"], strict) if "accel" in f else NO_ACCELERATION
     return validate_workload(wl), accel

@@ -12,7 +12,8 @@ part of each product that does not depend on the pass once per schedule, in
 the same left-to-right order, so every value is the same float as the
 formula written out in full. The enumeration (``count_forward``,
 ``count_schedule``) never calls into the closed-form cost paths; the checks
-call both sides to arbitrate them. ``oracle_check`` sweeps one variable,
+call both sides to arbitrate them, and place both on the roofline through
+``throughput.schedule_throughput``. ``oracle_check`` sweeps one variable,
 fits log-log scaling exponents from both sources (``fit_exponent``, the
 package's one exponent fit), and verifies that the exponents agree and that
 the closed-form/oracle ratio stays constant -- a constant ratio is a
@@ -30,8 +31,7 @@ from itertools import repeat
 from math import fsum
 from typing import Callable, NamedTuple, Sequence
 
-from . import analytic
-from .analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown, ScheduleCost
+from .analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown, ScheduleCost, total_cost
 from .config import (
     AccelerationConfig,
     Architecture,
@@ -40,40 +40,27 @@ from .config import (
     NO_ACCELERATION,
     Workload,
 )
-from .roofline import attainable_performance
 from .schedule import DecodeSchedule, Run, StepDescriptor, build_schedule
+from .throughput import IntensitySource, schedule_throughput
 
 EXCLUDED_OPERATORS = ("softmax", "layernorm", "embedding_lookup")
 
-OP_NAMES = (
-    "qkv_proj",
-    "attn_scores",
-    "attn_value",
-    "out_proj",
-    "ffn_up",
-    "ffn_down",
-    "kv_cache_read",
-    "kv_cache_write",
-    "weight_read",
-    "activation_io",
+# each operator and the cost component it counts toward; the first
+# _FLOP_OPERATORS count FLOPs, the rest bytes
+_OPERATORS = (
+    ("qkv_proj", "projection_flops"),
+    ("attn_scores", "attention_flops"),
+    ("attn_value", "attention_flops"),
+    ("out_proj", "projection_flops"),
+    ("ffn_up", "ffn_flops"),
+    ("ffn_down", "ffn_flops"),
+    ("kv_cache_read", "kv_read_write"),
+    ("kv_cache_write", "kv_read_write"),
+    ("weight_read", "weights_read"),
+    ("activation_io", "activation_io"),
 )
-
-
-# the cost component of each operator; the first _FLOP_OPERATORS of OP_NAMES
-# count FLOPs, the rest bytes
-_COMPONENT = {
-    "qkv_proj": "projection_flops",
-    "attn_scores": "attention_flops",
-    "attn_value": "attention_flops",
-    "out_proj": "projection_flops",
-    "ffn_up": "ffn_flops",
-    "ffn_down": "ffn_flops",
-    "kv_cache_read": "kv_read_write",
-    "kv_cache_write": "kv_read_write",
-    "weight_read": "weights_read",
-    "activation_io": "activation_io",
-}
 _FLOP_OPERATORS = 6
+OP_NAMES = tuple(op for op, _ in _OPERATORS)
 
 
 class OperatorCost(NamedTuple):
@@ -139,7 +126,7 @@ def count_forward(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batc
 
 def _accumulate(runs: list[Run], values: Callable[[StepDescriptor], tuple]) -> CostBreakdown:
     parts: dict[str, list[float]] = {name: [] for name in CostBreakdown().components}
-    sinks = [parts[_COMPONENT[op]].extend for op in OP_NAMES]
+    sinks = [parts[component].extend for _, component in _OPERATORS]
     for step, n in runs:
         for sink, value in zip(sinks, values(step)):
             if value:
@@ -273,28 +260,23 @@ def _metric_pairs(
 ) -> dict[str, tuple[float, float]]:
     """(closed-form value, enumerated value) per metric for one grid point.
 
-    The analytic side uses the closed-form schedule totals for FLOPs/MOPs and
-    the published estimates for intensity / FLOPs-per-token / throughput; the
-    oracle side uses only its own enumeration plus the roofline rule.
+    Both sides are ``schedule_throughput``'s decode-phase division: the
+    analytic side of the closed-form totals under the published estimates, the
+    oracle side of its own enumeration under the schedule intensity.
     """
     schedule = build_schedule(arch, cfg, wl, accel)
-    ana = analytic.total_cost(schedule, cfg, hw).decode
-    orc = count_schedule(schedule, cfg, hw).decode
-    generated = wl.batch * wl.gen_len
-    steps = schedule.decode.passes
-
-    ana_fpt = steps * analytic.published_step_flops(arch, cfg, wl) / generated
-    orc_fpt = orc.flops / generated
-    ana_arint = analytic.published_arint(arch, cfg, wl)
-    orc_arint = orc.flops / orc.mops
-    ana_thr = attainable_performance(hw, ana_arint).attainable / ana_fpt
-    orc_thr = attainable_performance(hw, orc_arint).attainable / orc_fpt
+    ana = schedule_throughput(
+        schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=IntensitySource.PUBLISHED, include_prefill=False
+    )
+    orc = schedule_throughput(
+        schedule, count_schedule(schedule, cfg, hw), cfg, hw, wl, source=IntensitySource.SCHEDULE, include_prefill=False
+    )
     return {
-        "flops_total": (ana.flops, orc.flops),
-        "mops_total": (ana.mops, orc.mops),
-        "flops_per_token": (ana_fpt, orc_fpt),
-        "arint": (ana_arint, orc_arint),
-        "throughput": (ana_thr, orc_thr),
+        "flops_total": (ana.flops_total, orc.flops_total),
+        "mops_total": (ana.mops_total, orc.mops_total),
+        "flops_per_token": (ana.flops_per_token, orc.flops_per_token),
+        "arint": (ana.arint, orc.arint),
+        "throughput": (ana.tokens_per_second, orc.tokens_per_second),
     }
 
 

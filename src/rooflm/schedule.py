@@ -41,6 +41,7 @@ from .config import (
     validate_model_config,
     validate_workload,
 )
+from .errors import ConfigValidationError
 
 
 class StepDescriptor(NamedTuple):
@@ -237,15 +238,13 @@ def _block_runs(wl: Workload, block_size: int, tpf: float) -> Iterator[Run]:
         yield StepDescriptor(rem, wl.total_len, False), n
 
 
-def _runs(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig) -> Iterator[Run]:
-    if arch is Architecture.DLM:
-        # the prompt is re-encoded on every denoising pass; no separate prefill
-        yield from _dlm_runs(wl, accel)
-        return
-    if wl.prompt_len > 0:
+def _runs(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig, has_prefill: bool) -> Iterator[Run]:
+    if has_prefill:
         yield StepDescriptor(wl.prompt_len, wl.prompt_len, True), 1
     if arch is Architecture.AR:
         yield from _ar_runs(wl, accel.tpf)
+    elif arch is Architecture.DLM:
+        yield from _dlm_runs(wl, accel)
     else:
         yield from _block_runs(wl, block_size, accel.tpf)
 
@@ -256,8 +255,14 @@ def build_schedule(
     wl: Workload,
     accel: AccelerationConfig = NO_ACCELERATION,
 ) -> DecodeSchedule:
-    """Deterministic forward-pass schedule for one generation request, in O(1)."""
+    """Deterministic forward-pass schedule for one generation request, in O(1).
+
+    Dual cache is a DLM acceleration; asked of another architecture, which
+    would ignore it, it is an ``unsupported_acceleration`` error.
+    """
     validate_model_config(cfg, arch)
+    if accel.dual_cache and arch is not Architecture.DLM:
+        raise ConfigValidationError([("unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}")])
     validate_workload(wl)
     validate_acceleration(accel)
 
@@ -267,6 +272,7 @@ def build_schedule(
         decode = _dlm_sums(wl, accel)
     else:
         decode = _block_sums(wl, cfg.block_size, accel.tpf)
+    # a DLM re-encodes the prompt on every denoising pass; it has no separate prefill
     has_prefill = arch is not Architecture.DLM and wl.prompt_len > 0
     prefill = PhaseSums.uniform(1, wl.prompt_len, wl.prompt_len) if has_prefill else PhaseSums()
     return DecodeSchedule(
@@ -274,5 +280,5 @@ def build_schedule(
         batch=wl.batch,
         decode=decode,
         prefill=prefill,
-        expand=partial(_runs, arch, cfg.block_size, wl, accel),
+        expand=partial(_runs, arch, cfg.block_size, wl, accel, has_prefill),
     )

@@ -33,6 +33,8 @@ from .config import (
     json_array,
     json_object,
     model_config_from_dict,
+    read_fields,
+    validate_hardware,
     validate_model_config,
 )
 from .errors import ConfigValidationError, EmptyRowSet, NonPositiveIntensity
@@ -93,6 +95,9 @@ def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
     issues = []
     if not spec.architectures:
         issues.append(("empty_list", "architectures must be non-empty"))
+    if len(set(spec.architectures)) < len(spec.architectures):
+        names = [a.value for a in spec.architectures]
+        issues.append(("duplicate_entry", f"architectures must name each architecture once, got {names!r}"))
     for name in ("gen_lens", "batches", "prompt_lens"):
         values = getattr(spec, name)
         if not values:
@@ -111,7 +116,8 @@ def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-_SPEC_FIELDS = ("architectures", "gen_lens", "batches", "prompt_lens", "accel", "models", "hardware")
+_SPEC_FIELDS = {"architectures": list, "gen_lens": list, "batches": list, "prompt_lens": list,
+                "accel": dict, "models": dict, "hardware": dict}
 
 
 def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: bool = False) -> SweepSpec:
@@ -122,22 +128,17 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     to an acceleration document; ``hardware`` is an inline hardware document.
     A ``models`` or ``accel`` entry must name an architecture the sweep runs.
     """
-    data = json_object(data, "sweep spec")
-    unknown = sorted(set(data) - set(_SPEC_FIELDS))
-    if unknown and strict:
-        raise ConfigValidationError(
-            [("unknown_field", f"unknown field {k!r} in sweep spec") for k in unknown]
-        )
-
+    data = read_fields(data, _SPEC_FIELDS, (), "sweep spec", strict)
     kwargs = {}
     if "architectures" in data:
-        kwargs["architectures"] = tuple(architecture_from_name(a) for a in json_array(data, "architectures", str))
+        names = json_array(data["architectures"], "architectures", str)
+        kwargs["architectures"] = tuple(map(architecture_from_name, names))
     for name in ("gen_lens", "batches", "prompt_lens"):
         if name in data:
-            kwargs[name] = json_array(data, name, int)
+            kwargs[name] = json_array(data[name], name, int)
     if "models" in data:
         models = {}
-        for arch_name, doc in json_object(data["models"], "models").items():
+        for arch_name, doc in data["models"].items():
             arch = architecture_from_name(arch_name)
             doc = json_object(doc, f"models[{arch_name!r}]")
             if doc.get("arch", arch_name) != arch_name:
@@ -149,7 +150,7 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     if "accel" in data:
         kwargs["accel"] = {
             architecture_from_name(a): acceleration_from_dict(doc, strict)
-            for a, doc in json_object(data["accel"], "accel").items()
+            for a, doc in data["accel"].items()
         }
     if "hardware" in data:
         kwargs["hardware"] = hardware_from_dict(data["hardware"], strict)
@@ -203,21 +204,16 @@ def evaluate_point(
     ``estimate_throughput`` return for it. Valid inputs far beyond any real
     model can take a total past the float range; such a point is an
     ``out_of_range`` error, never a row holding an infinite or NaN number.
-    Dual cache is a DLM acceleration; asked of another architecture, which
-    would ignore it, it is an ``unsupported_acceleration`` error.
     """
-    if accel.dual_cache and arch is not Architecture.DLM:
-        raise ConfigValidationError([(
-            "unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}",
-        )])
     try:
+        validate_hardware(hw)
         schedule = build_schedule(arch, cfg, wl, accel)
         memory = schedule_memory(schedule, cfg, hw, wl, accel)
         est = schedule_throughput(
             schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=source, include_prefill=include_prefill
         )
         finite = all(map(math.isfinite, (
-            memory.total_bytes, est.flops_total, est.mops_total, est.arint, est.ridge,
+            memory.total_bytes, est.flops_total, est.mops_total, est.arint,
             est.attainable, est.flops_per_token, est.tokens_per_second,
         )))
     except (OverflowError, NonPositiveIntensity):  # a total overflowed, or the intensity underflowed to 0
@@ -317,9 +313,7 @@ _ML, _MR, _MT, _MB = 64.0, 180.0, 40.0, 56.0
 
 
 def _series_label(arch: Architecture, accel_label: str) -> str:
-    if accel_label == "none":
-        return arch.value
-    return arch.value + "".join(f"+{part}" for part in accel_label.split("+"))
+    return arch.value if accel_label == "none" else f"{arch.value}+{accel_label}"
 
 
 def svg_text(rows: Sequence[SweepRow], axis: str, title: str) -> str:

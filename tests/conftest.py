@@ -1,14 +1,20 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from rooflm.config import HardwareSpec, ModelConfig, Workload
+from rooflm.config import Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.schedule import DecodeSchedule, PhaseSums
 
 
 def passes(schedule, prefill=False):
     """Every pass of one phase of ``schedule``, in order."""
     return tuple(s for s in schedule.steps if s.is_prefill == prefill)
+
+
+def dlm_only_dual_cache(arch, accel):
+    """``accel`` with dual cache turned off unless ``arch`` is DLM, the one architecture it applies to."""
+    return accel if arch is Architecture.DLM else replace(accel, dual_cache=False)
 
 
 def phase_sums(steps):

@@ -281,6 +281,19 @@ REPORT_SET_SHA256 = {
         "throughput_vs_gen_len_p40.svg": "06a5c3739f4192ca2d27376ef1996da18cd297c6e24d019e4b94abe19677973c",
         "throughput_vs_gen_len_p920.svg": "9ff4c3adbfc18dabf83bbdf487108d501fc1dd74eada3ce49fda120808e3ed9e",
     },
+    # extended lengths, tpf 3.1 for every architecture and dual cache on DLM
+    "accelerated": {
+        "sweep.csv": "d4f016cffe4ecf5adfc916bb8b88dc7de6b9a32141ffb189f545d0c8ea007cc7",
+        "throughput_vs_batch_p40.svg": "36157273bc82856c370c9ee94e65410d1a54f429df8a7391a4f7e4fc18f66e3e",
+        "throughput_vs_batch_p920.svg": "86e76dcf8617eb31a862e8007634d097882f68f6d702741ca68e776702593bba",
+        "throughput_vs_gen_len_p40.svg": "3305795bdf731fe0517e6a6093ed86529e03e791f5c17dcbc62a0a734baa0d1c",
+        "throughput_vs_gen_len_p920.svg": "863ca4be7d59a908aa08def448b9d2630e7941278db758738b1ea7b75fa61f97",
+    },
+}
+ACCELERATED = {
+    Architecture.AR: AccelerationConfig(tpf=3.1),
+    Architecture.DLM: AccelerationConfig(tpf=3.1, dual_cache=True),
+    Architecture.BLOCK_DIFFUSION: AccelerationConfig(tpf=3.1),
 }
 
 
@@ -297,9 +310,10 @@ def test_10_determinism(tmp_path):
     _report(10, "deterministic reports")
 
 
-def test_extended_report_set_is_the_recorded_bytes(tmp_path):
-    spec = SweepSpec(gen_lens=EXTENDED_GEN_LENS)
-    assert _digests(emit_report_set(run_sweep(spec), tmp_path, spec)) == REPORT_SET_SHA256["extended"]
+@pytest.mark.parametrize("report_set,accel", [("extended", {}), ("accelerated", ACCELERATED)], ids=["none", "accelerated"])
+def test_extended_report_set_is_the_recorded_bytes(tmp_path, report_set, accel):
+    spec = SweepSpec(gen_lens=EXTENDED_GEN_LENS, accel=accel)
+    assert _digests(emit_report_set(run_sweep(spec), tmp_path, spec)) == REPORT_SET_SHA256[report_set]
 
 
 def _digests(paths):

@@ -34,7 +34,63 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# SHA-256 of analyze's stdout and --csv file for each shipped model and workload, on the shipped hardware
+ANALYZE_SHA256 = {
+    ("ar_8b", "long_prompt"): (
+        "cb660c929cd81432076b5a1ee83fe7f07e4daa0d2b95f0daaddb06ce615501fb",
+        "1d501d3e359256ea5b92db7c3c70ba43fd88456d5a9519d7a83389f5fa63bb47",
+    ),
+    ("ar_8b", "parallel_decoding"): (
+        "4960d20c5eccf57cf5a2e381bdf631abb11b688d15d9ea449853eed4c403aa50",
+        "c76eea9a9c48704e7ccb7fee92dbcd7eaa5b5d44825f290cfa757ff6708ef187",
+    ),
+    ("ar_8b", "short_prompt"): (
+        "2d80f4387d8526d39c196cedb78d77eb3656ea40f22ab4486090b3d37c76a68d",
+        "4d3b13cab686f4e208c65ca905e9a04c6f67257e3b8bcc464c74e0e0336aa518",
+    ),
+    ("block_diffusion_8b", "long_prompt"): (
+        "3718238ca75897228d8b3ec60f8093cea8a50f3a3e2a6d0dbf3573cf0297808c",
+        "712dacbf9a3261a3f81879996567ae8467082272c9219ba2d584c486123d3660",
+    ),
+    ("block_diffusion_8b", "parallel_decoding"): (
+        "887a4f45168a864bd6abd80afa964b9fee7c109d8910a7750039e044fe8a83a1",
+        "fa99ad992a4bbff5624ab413b87f424e06862fae5c51e3f0b653442ff1472b04",
+    ),
+    ("block_diffusion_8b", "short_prompt"): (
+        "3d34183830999214a7a24cc68c3ce52fee2ae1b2aa6db98f74b24d54e39d4aa6",
+        "cee403d81147f54a6d12650380e91ec44645084665195e859635dbf9c9d72ae9",
+    ),
+    ("dlm_8b", "long_prompt"): (
+        "f27c1e7ce5093f43a7fd6a24cc5238cb4e9e2bf01d03209d5db11939664634ef",
+        "c465fc64a322256b1659bf05e063bc61545fc63fdbfc188af1c4112d14278264",
+    ),
+    ("dlm_8b", "parallel_decoding"): (
+        "a7ac53d807eee0039db052f2d125d675b687526bf5c14be98da164bcca0016e2",
+        "587476494744663b4a3cd7d407e75abc1e3f75c959199d34009515979a0ed53c",
+    ),
+    ("dlm_8b", "short_prompt"): (
+        "f3bfeba12b01bc139ad83feae44f3eea2d4b7cd4acb6dd3a5cff8e1aeabeabe1",
+        "b4e74865a4b932801120ba233075af8274f18efc7d21cb0fdbb19a7426ce9b46",
+    ),
+}
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("model,workload", list(ANALYZE_SHA256))
+    def test_shipped_configs_are_the_recorded_bytes(self, capsys, tmp_path, repo_root, model, workload):
+        configs = repo_root / "configs"
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--model", str(configs / "models" / f"{model}.json"),
+            "--hardware", str(configs / "hardware_a800_class.json"),
+            "--workload", str(configs / "workloads" / f"{workload}.json"),
+            "--csv", str(tmp_path / "row.csv"),
+        )
+        assert (code, err) == (0, "")
+        digests = hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256((tmp_path / "row.csv").read_bytes()).hexdigest()
+        assert digests == ANALYZE_SHA256[model, workload]
+
     def test_toy_report(self, capsys, config_files):
         code, out, err = run(
             capsys,
@@ -351,18 +407,28 @@ class TestRidge:
         assert code == 0
         assert out.strip() == "100"
 
+    @pytest.mark.parametrize("command", ["ridge", "analyze", "sweep"])
     @pytest.mark.parametrize(
         "hardware",
         [{"p_max": 1e308, "b_mem": 1e-10, "capacity": 1e12}, {"p_max": 1e-300, "b_mem": 1e300, "capacity": 1e12}],
         ids=["overflow", "underflow"],
     )
-    def test_ridge_beyond_float_range_exits_2(self, capsys, tmp_path, hardware):
-        path = tmp_path / "hw.json"
-        path.write_text(json.dumps(hardware))
-        code, out, err = run(capsys, "ridge", "--hardware", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error [out_of_range]: ")
+    def test_ridge_beyond_float_range_exits_2(self, capsys, tmp_path, config_files, hardware, command):
+        config_files["hardware"].write_text(json.dumps(hardware))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"architectures": ["DLM"], "gen_lens": [16], "batches": [1], "prompt_lens": [0],
+                                    "hardware": hardware}))
+        argv = {
+            "ridge": ["--hardware", str(config_files["hardware"])],
+            "analyze": [f"--{kind}={path}" for kind, path in config_files.items()],
+            "sweep": ["--spec", str(spec), "--out-dir", str(tmp_path / "o")],
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error [out_of_range]: ridge point p_max / b_mem = {hardware['p_max']!r} / {hardware['b_mem']!r} "
+            "is beyond the float range\n"
+        )
 
 
 class TestSweep:
@@ -521,6 +587,32 @@ class TestSweep:
         spec.write_text(json.dumps({**grid, "architectures": ["AR", "BlockDiffusion", "DLM"],
                                     "accel": {"AR": {"tpf": 2}}, "models": {"BlockDiffusion": model}}))
         assert run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))[0] == 0
+
+    def test_repeated_architecture_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"architectures": ["DLM", "DLM"], "gen_lens": [16], "batches": [1],
+                                    "prompt_lens": [0]}))
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "error [duplicate_entry]: architectures must name each architecture once, got ['DLM', 'DLM']\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_field_rejected_or_warned(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"architectures": ["DLM"], "gen_len": [16], "batches": [1], "prompt_lens": [0]}))
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error [unknown_field]: unknown field 'gen_len' in sweep spec "
+            "(allowed: architectures, gen_lens, batches, prompt_lens, accel, models, hardware)\n"
+        )
+
+        # lenient: the sweep runs without the field, the default lengths, and says so
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "o"), "--lenient-config")
+        assert code == 0
+        assert err == "warning: ignoring unknown field 'gen_len' in sweep spec\n"
+        rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(SweepSpec().gen_lens) == 6
 
     def test_bad_spec_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

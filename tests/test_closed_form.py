@@ -18,7 +18,7 @@ from rooflm.schedule import build_schedule
 from rooflm.sweep import evaluate_point
 from rooflm.throughput import IntensitySource
 
-from conftest import passes
+from conftest import dlm_only_dual_cache, passes
 
 HW = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
 # dyadic alpha and an integer N keep every product exact, so all three sums agree bit for bit;
@@ -75,7 +75,7 @@ def test_closed_form_matches_expansion_and_oracle(arch, exact, block_size, wl, a
     cfg = EXACT_CFG if exact else ROUNDED_CFG
     if arch is Architecture.BLOCK_DIFFUSION:
         cfg = replace(cfg, block_size=block_size)
-    sched = build_schedule(arch, cfg, wl, accel)
+    sched = build_schedule(arch, cfg, wl, dlm_only_dual_cache(arch, accel))
     decode, prefill = passes(sched), passes(sched, prefill=True)
 
     assert sched.decode.passes == len(decode)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rooflm import analytic
+from rooflm import analytic, throughput
 from rooflm.analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.oracle import (
@@ -18,7 +18,7 @@ from rooflm.oracle import (
 )
 from rooflm.schedule import StepDescriptor, build_schedule
 
-from conftest import passes, schedule_of
+from conftest import dlm_only_dual_cache, passes, schedule_of
 
 TINY = ModelConfig(n_l=1, n_h=1, n_d=2, d=2, alpha=2.0, n_params=100.0)
 HW = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
@@ -221,7 +221,7 @@ def _fsum_every_pass(sched, cfg, prefill):
 @example(Architecture.BLOCK_DIFFUSION, 6, Workload(2, 0, 53), AccelerationConfig(tpf=3.1))
 def test_grouped_passes_equal_every_pass_fsum(arch, block_size, wl, accel):
     cfg = replace(ROUNDING_CFG, block_size=block_size)
-    sched = build_schedule(arch, cfg, wl, accel)
+    sched = build_schedule(arch, cfg, wl, dlm_only_dual_cache(arch, accel))
     grouped = count_schedule(sched, cfg, HW)
     for phase, prefill in (("decode", False), ("prefill", True)):
         assert getattr(grouped, phase).components == _fsum_every_pass(sched, cfg, prefill), phase
@@ -257,7 +257,7 @@ class TestOracleCheck:
             return num / (cfg.n_params + wl.batch * cfg.n_l * d * seq)
 
         cfg = ModelConfig(n_l=2, n_h=1, n_d=8, d=8, alpha=1.0, n_params=128.0)
-        monkeypatch.setattr(analytic, "published_arint", broken_arint)
+        monkeypatch.setattr(throughput, "published_arint", broken_arint)  # where schedule_throughput reads it
         report = oracle_check(Architecture.DLM, cfg, Workload(1, 0, 1024), variables=("L",))
         assert not report.passed
         assert report.verdict == "ExponentMismatch"

@@ -7,10 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
-from rooflm.oracle import count_schedule
+from rooflm.errors import ConfigValidationError
+from rooflm.memory import estimate_memory
+from rooflm.oracle import count_schedule, oracle_check
 from rooflm.schedule import StepDescriptor, _step_count, build_schedule
+from rooflm.throughput import crossing_batch, estimate_throughput
 
-from conftest import passes, phase_sums
+from conftest import dlm_only_dual_cache, passes, phase_sums
 
 
 def cfg_for(arch, block_size=2):
@@ -128,7 +131,7 @@ class TestProperties:
            wl=small_wl, accel=small_accel)
     def test_token_conservation(self, arch, block, wl, accel):
         # an AR pass writes the tokens it finalizes; a block's run writes the block
-        sched = build_schedule(arch, cfg_for(arch, block), wl, accel)
+        sched = build_schedule(arch, cfg_for(arch, block), wl, dlm_only_dual_cache(arch, accel))
         if arch is Architecture.AR:
             assert sum(s.active_tokens for s in passes(sched)) == wl.gen_len
         else:
@@ -137,7 +140,7 @@ class TestProperties:
     @settings(max_examples=120, deadline=None)
     @given(arch=small_arch, wl=small_wl, accel=small_accel)
     def test_step_bounds(self, arch, wl, accel):
-        sched = build_schedule(arch, cfg_for(arch), wl, accel)
+        sched = build_schedule(arch, cfg_for(arch), wl, dlm_only_dual_cache(arch, accel))
         for s in sched.steps:
             assert 1 <= s.active_tokens <= s.context_len <= wl.total_len
 
@@ -152,6 +155,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(arch=small_arch, wl=small_wl, accel=small_accel)
     def test_determinism(self, arch, wl, accel):
+        accel = dlm_only_dual_cache(arch, accel)
         a = build_schedule(arch, cfg_for(arch), wl, accel)
         b = build_schedule(arch, cfg_for(arch), wl, accel)
         assert a == b
@@ -201,7 +205,7 @@ class TestRuns:
     @example(Architecture.BLOCK_DIFFUSION, 6, Workload(1, 9, 53), AccelerationConfig(tpf=7.3))
     @example(Architecture.AR, 4, Workload(1, 5, 100), AccelerationConfig(tpf=3.1))
     def test_runs_are_the_maximal_groups_of_equal_passes(self, arch, block, wl, accel):
-        sched = build_schedule(arch, cfg_for(arch, block), wl, accel)
+        sched = build_schedule(arch, cfg_for(arch, block), wl, dlm_only_dual_cache(arch, accel))
         runs = list(sched.expand())
         assert all(n >= 1 for _, n in runs)
         assert runs == [(step, len(list(group))) for step, group in groupby(sched.steps)]
@@ -209,9 +213,12 @@ class TestRuns:
             assert sum(n for step, n in runs if step.is_prefill == prefill) == sums.passes
             assert phase_sums(passes(sched, prefill)) == sums
 
-    @pytest.mark.parametrize("arch", list(Architecture))
-    @pytest.mark.parametrize("dual_cache", [False, True])
-    def test_int_tpf_expands_and_counts_as_its_float(self, arch, dual_cache):
+    @pytest.mark.parametrize(
+        "dual_cache,arch",
+        [(False, arch) for arch in Architecture] + [(True, Architecture.DLM)],  # dual cache is a DLM acceleration
+        ids=["False-AR", "False-DLM", "False-BlockDiffusion", "True-DLM"],
+    )
+    def test_int_tpf_expands_and_counts_as_its_float(self, dual_cache, arch):
         # AccelerationConfig is public; a Python int tpf must behave exactly as the equal float
         cfg, wl, hw = cfg_for(arch, 6), Workload(2, 9, 53), HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
         as_int, as_float = (
@@ -222,6 +229,25 @@ class TestRuns:
         assert list(as_int.expand()) == list(as_float.expand())
         assert as_int.steps == as_float.steps
         assert count_schedule(as_int, cfg, hw) == count_schedule(as_float, cfg, hw)
+
+    @pytest.mark.parametrize("arch", [Architecture.AR, Architecture.BLOCK_DIFFUSION])
+    def test_dual_cache_on_another_architecture_is_rejected(self, arch):
+        # every entry point schedules through build_schedule, which owns the rule
+        cfg, wl, hw = cfg_for(arch, 6), Workload(2, 9, 53), HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
+        accel = AccelerationConfig(tpf=2.0, dual_cache=True, dual_cache_block=8, cache_refresh_interval=4)
+        calls = {
+            "build_schedule": lambda: build_schedule(arch, cfg, wl, accel),
+            "estimate_throughput": lambda: estimate_throughput(arch, cfg, hw, wl, accel),
+            "estimate_memory": lambda: estimate_memory(arch, cfg, hw, wl, accel),
+            "crossing_batch": lambda: crossing_batch(arch, cfg, hw, wl, accel),
+            "oracle_check": lambda: oracle_check(arch, cfg, wl, accel, hw, variables=("B",)),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ConfigValidationError) as exc:
+                call()
+            assert exc.value.issues == (
+                ("unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}"),
+            ), name
 
     @settings(max_examples=100, deadline=None)
     @given(wl=run_wl, tpf=st.sampled_from(INTEGER_TPF))

@@ -154,6 +154,17 @@ class TestSinglePointEvaluation:
         )
         assert counts == {"build_schedule": 1, "total_cost": 1, "attainable_performance": 1}
 
+    @pytest.mark.parametrize(
+        "hw",
+        [HardwareSpec(-1e12, 1e10, 1e12), replace(A800_CLASS, b_mem=0.0), replace(A800_CLASS, bytes_per_element=3)],
+        ids=["negative_p_max", "zero_b_mem", "three_byte_elements"],
+    )
+    def test_rejects_invalid_hardware(self, hw):
+        with pytest.raises(ConfigValidationError) as exc:
+            evaluate_point(Architecture.AR, DEFAULT_MODELS[Architecture.AR], hw, POINT_WL, AccelerationConfig(),
+                           source=IntensitySource.SCHEDULE, include_prefill=False)
+        assert exc.value.codes() == ("non_positive_field",)
+
     @pytest.mark.parametrize("hw", list(POINT_HW))
     @pytest.mark.parametrize("include_prefill", [False, True], ids=["decode", "prefill"])
     @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])
