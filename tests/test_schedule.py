@@ -216,7 +216,6 @@ class TestRuns:
     @pytest.mark.parametrize(
         "dual_cache,arch",
         [(False, arch) for arch in Architecture] + [(True, Architecture.DLM)],  # dual cache is a DLM acceleration
-        ids=["False-AR", "False-DLM", "False-BlockDiffusion", "True-DLM"],
     )
     def test_int_tpf_expands_and_counts_as_its_float(self, dual_cache, arch):
         # AccelerationConfig is public; a Python int tpf must behave exactly as the equal float
