@@ -146,6 +146,9 @@ def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
     for name in ("p_max", "b_mem", "capacity"):
         if getattr(hw, name) <= 0:
             issues.append(("non_positive_field", f"{name} must be > 0, got {getattr(hw, name)!r}"))
+    # an infinite or NaN capacity makes every headroom non-finite; p_max and b_mem are held finite by the ridge check
+    if not math.isfinite(hw.capacity):
+        issues.append(("non_finite_field", f"capacity must be finite, got {hw.capacity!r}"))
     if hw.bytes_per_element not in _VALID_WIDTHS:
         issues.append(("non_positive_field", f"bytes_per_element must be one of {_VALID_WIDTHS}, got {hw.bytes_per_element!r}"))
     # the ridge point p_max / b_mem must be finite and positive; a NaN field fails this too

@@ -4,16 +4,17 @@ Every forward pass is expanded into its individual operators (projections,
 attention score/value matmuls, FFN halves, cache traffic, weight and
 activation movement) and summed. ``count_schedule`` reads the schedule as
 runs of equal consecutive passes (``DecodeSchedule.expand``), evaluates the
-operators once per run and enters each value into its component's ``fsum``
-as many times as the run is long; ``fsum`` is exact whatever the order of
-its terms, so the totals are the correctly rounded per-pass sums. The
-operator formulas live in one place, ``_forward_values``, which computes the
-part of each product that does not depend on the pass once per schedule, in
-the same left-to-right order, so every value is the same float as the
-formula written out in full. The enumeration (``count_forward``,
-``count_schedule``) never calls into the closed-form cost paths; the checks
-call both sides to arbitrate them, and place both on the roofline through
-``throughput.schedule_throughput``. ``oracle_check`` sweeps one variable,
+operators once per run and streams each value into its component's one
+``fsum`` as many times as the run is long, with no per-pass list, so its
+memory is O(runs) whatever the generation length. ``fsum`` is exact
+whatever the order of its terms, so the totals are the correctly rounded
+per-pass sums. The operator formulas live in one place, ``_forward_values``,
+which computes the part of each product that does not depend on the pass
+once per schedule, in the same left-to-right order, so every value is the
+same float as the formula written out in full. The enumeration
+(``count_forward``, ``count_schedule``) never calls into the closed-form
+cost paths; the checks call both sides to arbitrate them, and place both on
+the roofline through ``throughput.schedule_throughput``. ``oracle_check`` sweeps one variable,
 fits log-log scaling exponents from both sources (``fit_exponent``, the
 package's one exponent fit), and verifies that the exponents agree and that
 the closed-form/oracle ratio stays constant -- a constant ratio is a
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from math import fsum
 from typing import Callable, NamedTuple, Sequence
 
@@ -125,21 +126,20 @@ def count_forward(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batc
 
 
 def _accumulate(runs: list[Run], values: Callable[[StepDescriptor], tuple]) -> CostBreakdown:
-    parts: dict[str, list[float]] = {name: [] for name in CostBreakdown().components}
-    sinks = [parts[component].extend for _, component in _OPERATORS]
-    for step, n in runs:
-        for sink, value in zip(sinks, values(step)):
-            if value:
-                sink(repeat(value, n))
-    return CostBreakdown(**{name: fsum(vals) for name, vals in parts.items()})
+    steps, counts = zip(*runs) if runs else ((), ())
+    streams: dict[str, list] = {name: [] for name in CostBreakdown().components}
+    for (_, component), column in zip(_OPERATORS, zip(*map(values, steps))):
+        streams[component].append(chain.from_iterable(map(repeat, column, counts)))
+    return CostBreakdown(**{name: fsum(chain.from_iterable(parts)) for name, parts in streams.items()})
 
 
 def count_schedule(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:
     """Sum of count_forward over all steps, decode and prefill separated.
 
-    The operators are evaluated once per run of equal passes and their values
-    weighted by the run's length; the sums stay exact, equal to the ``fsum``
-    over every pass.
+    The operators are evaluated once per run of equal passes. Each value is
+    repeated lazily, once per pass of its run, into the one ``fsum`` of its
+    component, so no per-pass list is built and memory is O(runs). The sums
+    stay exact, equal to the ``fsum`` over every pass.
     """
     phases: dict[bool, list[Run]] = {False: [], True: []}
     for run in schedule.expand():

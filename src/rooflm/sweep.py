@@ -113,6 +113,7 @@ def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
         raise ConfigValidationError(issues)
     for arch in spec.architectures:
         validate_model_config(spec.model_for(arch), arch)
+    validate_hardware(spec.hardware)
     return spec
 
 
@@ -205,8 +206,21 @@ def evaluate_point(
     model can take a total past the float range; such a point is an
     ``out_of_range`` error, never a row holding an infinite or NaN number.
     """
+    validate_hardware(hw)
+    return _evaluate_point(arch, cfg, hw, wl, accel, source, include_prefill)
+
+
+def _evaluate_point(
+    arch: Architecture,
+    cfg: ModelConfig,
+    hw: HardwareSpec,
+    wl: Workload,
+    accel: AccelerationConfig,
+    source: IntensitySource,
+    include_prefill: bool,
+) -> SweepRow:
+    """``evaluate_point`` on hardware already validated, as a sweep's is once per sweep."""
     try:
-        validate_hardware(hw)
         schedule = build_schedule(arch, cfg, wl, accel)
         memory = schedule_memory(schedule, cfg, hw, wl, accel)
         est = schedule_throughput(
@@ -251,12 +265,7 @@ def run_sweep(
             for prompt_len in spec.prompt_lens:
                 for gen_len in spec.gen_lens:
                     wl = Workload(batch=batch, prompt_len=prompt_len, gen_len=gen_len)
-                    rows.append(
-                        evaluate_point(
-                            arch, cfg, spec.hardware, wl, accel,
-                            source=source, include_prefill=include_prefill,
-                        )
-                    )
+                    rows.append(_evaluate_point(arch, cfg, spec.hardware, wl, accel, source, include_prefill))
     return tuple(sorted(rows, key=lambda r: r.key))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -83,6 +84,12 @@ class TestHardwareWorkloadAccel:
     def test_hardware_rejects_non_positive(self):
         with pytest.raises(ConfigValidationError):
             validate_hardware(HardwareSpec(0, 1e10, 1e9))
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf], ids=["nan", "infinity"])
+    def test_hardware_rejects_non_finite_capacity(self, capacity):
+        with pytest.raises(ConfigValidationError) as exc:
+            validate_hardware(HardwareSpec(1e12, 1e10, capacity))
+        assert exc.value.codes() == ("non_finite_field",)
 
     def test_workload_rejects_zero_gen(self):
         with pytest.raises(ConfigValidationError):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from math import fsum
 
@@ -219,12 +220,29 @@ def _fsum_every_pass(sched, cfg, prefill):
 # 53 = 8 * 6 + 5: a partial final block of 5 tokens
 @example(Architecture.BLOCK_DIFFUSION, 6, Workload(1, 9, 53), AccelerationConfig(tpf=7.3))
 @example(Architecture.BLOCK_DIFFUSION, 6, Workload(2, 0, 53), AccelerationConfig(tpf=3.1))
+# one decode pass and an empty prefill phase, whose fsum is over no terms
+@example(Architecture.AR, 4, Workload(1, 0, 1), AccelerationConfig())
+# one run of 4096 equal passes, each value repeated 4096 times into its fsum
+@example(Architecture.DLM, 4, Workload(3, 7, 4096), AccelerationConfig())
 def test_grouped_passes_equal_every_pass_fsum(arch, block_size, wl, accel):
     cfg = replace(ROUNDING_CFG, block_size=block_size)
     sched = build_schedule(arch, cfg, wl, dlm_only_dual_cache(arch, accel))
     grouped = count_schedule(sched, cfg, HW)
     for phase, prefill in (("decode", False), ("prefill", True)):
         assert getattr(grouped, phase).components == _fsum_every_pass(sched, cfg, prefill), phase
+
+
+def test_count_schedule_memory_flat_in_gen_len():
+    # one DLM run of 2**16 passes: a per-pass list of its operator values would take megabytes
+    cfg = ModelConfig(n_l=1, n_h=1, n_d=8, d=8, alpha=1.0, n_params=64.0)
+    sched = build_schedule(Architecture.DLM, cfg, Workload(1, 0, 2**16))
+    tracemalloc.start()
+    try:
+        count_schedule(sched, cfg, HW)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
 
 
 class TestOracleCheck:

@@ -78,6 +78,22 @@ class TestGrid:
         with pytest.raises(ConfigValidationError):
             validate_sweep_spec(toy_spec(batches=(4, 2)))
 
+    def test_invalid_hardware_rejected_before_any_point(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(rooflm.sweep, "build_schedule", lambda *args: evaluated.append(args))
+        spec = toy_spec(hardware=replace(TOY_HW, b_mem=0.0))
+        for check in (validate_sweep_spec, run_sweep):
+            with pytest.raises(ConfigValidationError) as exc:
+                check(spec)
+            assert exc.value.codes() == ("non_positive_field",)
+        assert evaluated == []
+
+    def test_hardware_validated_once_per_sweep(self, monkeypatch):
+        validated = []
+        monkeypatch.setattr(rooflm.sweep, "validate_hardware", validated.append)
+        run_sweep(toy_spec())
+        assert validated == [TOY_HW]
+
     def test_spec_from_dict_defaults(self):
         spec = sweep_spec_from_dict({})
         assert spec == SweepSpec()
