@@ -6,15 +6,16 @@ activation movement) and summed. ``count_schedule`` reads the schedule as
 runs of equal consecutive passes (``DecodeSchedule.expand``), evaluates the
 operators once per run and streams each value into its component's one
 ``fsum`` as many times as the run is long, with no per-pass list, so its
-memory is O(runs) whatever the generation length. ``fsum`` is exact
-whatever the order of its terms, so the totals are the correctly rounded
-per-pass sums. The operator formulas live in one place, ``_forward_values``,
-which computes the part of each product that does not depend on the pass
-once per schedule, in the same left-to-right order, so every value is the
-same float as the formula written out in full. The enumeration
-(``count_forward``, ``count_schedule``) never calls into the closed-form
-cost paths; the checks call both sides to arbitrate them, and place both on
-the roofline through ``throughput.schedule_throughput``. ``oracle_check`` sweeps one variable,
+memory is O(runs) (flat in the generation length except for AR, whose runs
+are single passes). ``fsum`` is exact whatever the order of its terms, so
+the totals are the correctly rounded per-pass sums. The operator formulas
+live in one place, ``_forward_values``, which computes the part of each
+product that does not depend on the pass once per schedule, in the same
+left-to-right order, so every value is the same float as the formula written
+out in full. The enumeration (``count_forward``, ``count_schedule``) never
+calls into the closed-form cost paths; the checks call both sides to
+arbitrate them, and place both on the roofline through
+``throughput.schedule_throughput``. ``oracle_check`` sweeps one variable,
 fits log-log scaling exponents from both sources (``fit_exponent``, the
 package's one exponent fit), and verifies that the exponents agree and that
 the closed-form/oracle ratio stays constant -- a constant ratio is a
