@@ -22,7 +22,7 @@ from .memory import MemoryReport, estimate_memory
 from .oracle import OperatorCost, count_forward, count_schedule, oracle_check
 from .roofline import Regime, RooflinePoint, attainable_performance, ridge_point
 from .schedule import DecodeSchedule, PhaseSums, StepDescriptor, build_schedule
-from .sweep import SweepRow, SweepSpec, emit_csv, emit_svg, run_sweep
+from .sweep import SweepRow, SweepSpec, run_sweep
 from .throughput import (
     IntensitySource,
     ThroughputEstimate,
@@ -57,8 +57,6 @@ __all__ = [
     "count_schedule",
     "crossing_batch",
     "derive_param_count",
-    "emit_csv",
-    "emit_svg",
     "estimate_memory",
     "estimate_throughput",
     "flops_per_token",

@@ -26,7 +26,7 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 
 from .config import Architecture, HardwareSpec, ModelConfig, Workload
 from .schedule import DecodeSchedule, PhaseSums, StepDescriptor
@@ -155,17 +155,20 @@ def _phase_cost(cfg: ModelConfig, sums: PhaseSums, hw: HardwareSpec, batch: int 
     rounded total, as the ``fsum`` of the per-step costs is; elsewhere the
     two differ by rounding only.
     """
-    s, s_ctx, ctx = float(sums.active), float(sums.active_context), float(sums.context)
     d, n_l = cfg.d, cfg.n_l
     bpe = hw.bytes_per_element
-    return CostBreakdown(
-        projection_flops=batch * n_l * 8.0 * s * d**2,
-        attention_flops=batch * n_l * 4.0 * s_ctx * d,
-        ffn_flops=batch * n_l * 4.0 * cfg.alpha * s * d**2,
-        weights_read=bpe * cfg.n_params * sums.passes,
-        kv_read_write=bpe * batch * n_l * 2.0 * d * ctx,
-        activation_io=bpe * ACTIVATION_TRAFFIC_ELEMS * batch * n_l * s * d,
-    )
+    try:
+        s, s_ctx, ctx = float(sums.active), float(sums.active_context), float(sums.context)
+        return CostBreakdown(
+            projection_flops=batch * n_l * 8.0 * s * d**2,
+            attention_flops=batch * n_l * 4.0 * s_ctx * d,
+            ffn_flops=batch * n_l * 4.0 * cfg.alpha * s * d**2,
+            weights_read=bpe * cfg.n_params * sums.passes,
+            kv_read_write=bpe * batch * n_l * 2.0 * d * ctx,
+            activation_io=bpe * ACTIVATION_TRAFFIC_ELEMS * batch * n_l * s * d,
+        )
+    except OverflowError:  # an integer beyond the float range: infinite totals, which schedule_throughput rejects
+        return CostBreakdown(*[inf] * 6)
 
 
 def total_cost(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:

@@ -24,7 +24,7 @@ from .errors import ConfigValidationError
 from .oracle import battery_report, default_battery
 from .presets import A800_CLASS
 from .roofline import ridge_point
-from .sweep import csv_text, emit_report_set, evaluate_point, run_sweep, sweep_spec_from_dict
+from .sweep import csv_text, emit_report_set, evaluate_point, run_sweep, sweep_spec_from_dict, write_report
 from .throughput import IntensitySource
 
 EXIT_OK = 0
@@ -85,7 +85,7 @@ def _cmd_analyze(args) -> int:
     )
 
     if args.csv:
-        Path(args.csv).write_text(csv_text([row]), encoding="utf-8", newline="\n")
+        write_report(args.csv, csv_text([row]))
     return EXIT_OK
 
 
@@ -107,8 +107,8 @@ def _cmd_oracle_check(args) -> int:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "oracle_report.txt").write_text(text, encoding="utf-8", newline="\n")
-        (out_dir / "oracle_report.csv").write_text(csv, encoding="utf-8", newline="\n")
+        write_report(out_dir / "oracle_report.txt", text)
+        write_report(out_dir / "oracle_report.csv", csv)
     print(text)
 
     failed = [(label, r) for label, r in reports if not r.passed]

@@ -12,6 +12,11 @@ issue. An integer above ``MAX_INTEGER`` (2**53) is an ``out_of_range`` issue:
 up to that bound every closed-form sum of a schedule still fits in a float.
 A key given twice in one JSON object is a ``duplicate_field`` issue, and a
 file that is not UTF-8 an ``invalid_encoding`` issue.
+
+A ``HardwareSpec`` or ``AccelerationConfig`` validates itself when built, so
+one that breaks a rule of ``validate_hardware`` or ``validate_acceleration``
+cannot exist and no caller re-checks it. A model's rules depend on its
+architecture and a workload's are checked by ``build_schedule``.
 """
 
 from __future__ import annotations
@@ -62,10 +67,15 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class HardwareSpec:
+    """A device profile; building one that breaks a rule of ``validate_hardware`` raises its issues."""
+
     p_max: float                 # peak floating-point rate, FLOPs/s
     b_mem: float                 # peak sustainable memory bandwidth, bytes/s
     capacity: float              # device memory, bytes
     bytes_per_element: int = 2   # storage width of weights/activations
+
+    def __post_init__(self) -> None:
+        validate_hardware(self)
 
 
 @dataclass(frozen=True)
@@ -86,13 +96,17 @@ class AccelerationConfig:
     ``tpf`` is the average number of tokens finalized per forward step
     (1 = no parallel decoding). Dual cache restricts diffusion steps to a
     small active window of ``dual_cache_block`` tokens, re-encoding the full
-    sequence once every ``cache_refresh_interval`` window steps.
+    sequence once every ``cache_refresh_interval`` window steps. Building
+    one that breaks a rule of ``validate_acceleration`` raises its issues.
     """
 
     tpf: float = 1.0
     dual_cache: bool = False
     dual_cache_block: int = 32
     cache_refresh_interval: int = 256
+
+    def __post_init__(self) -> None:
+        validate_acceleration(self)
 
     @property
     def label(self) -> str:
@@ -102,9 +116,6 @@ class AccelerationConfig:
         if self.dual_cache:
             parts.append("dual-cache")
         return "+".join(parts) if parts else "none"
-
-
-NO_ACCELERATION = AccelerationConfig()
 
 
 def derive_param_count(cfg: ModelConfig) -> float:
@@ -120,7 +131,7 @@ def validate_model_config(cfg: ModelConfig, arch: Architecture) -> ModelConfig:
     issues = []
     for name in ("n_l", "n_h", "n_d", "d"):
         value = getattr(cfg, name)
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             issues.append(("non_positive_field", f"{name} must be an integer >= 1, got {value!r}"))
     if cfg.alpha <= 0:
         issues.append(("non_positive_field", f"alpha must be > 0, got {cfg.alpha!r}"))
@@ -131,7 +142,7 @@ def validate_model_config(cfg: ModelConfig, arch: Architecture) -> ModelConfig:
     if arch is Architecture.BLOCK_DIFFUSION:
         if cfg.block_size is None:
             issues.append(("missing_block_size", "block diffusion requires a block size G >= 1"))
-        elif not isinstance(cfg.block_size, int) or cfg.block_size < 1:
+        elif type(cfg.block_size) is not int or cfg.block_size < 1:
             issues.append(("non_positive_field", f"G must be an integer >= 1, got {cfg.block_size!r}"))
     if issues:
         raise ConfigValidationError(issues)
@@ -149,7 +160,7 @@ def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
     # an infinite or NaN capacity makes every headroom non-finite; p_max and b_mem are held finite by the ridge check
     if not math.isfinite(hw.capacity):
         issues.append(("non_finite_field", f"capacity must be finite, got {hw.capacity!r}"))
-    if hw.bytes_per_element not in _VALID_WIDTHS:
+    if type(hw.bytes_per_element) is not int or hw.bytes_per_element not in _VALID_WIDTHS:
         issues.append(("non_positive_field", f"bytes_per_element must be one of {_VALID_WIDTHS}, got {hw.bytes_per_element!r}"))
     # the ridge point p_max / b_mem must be finite and positive; a NaN field fails this too
     if not (hw.p_max <= 0 or hw.b_mem <= 0 or 0 < hw.p_max / hw.b_mem < math.inf):
@@ -161,11 +172,11 @@ def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
 
 def validate_workload(wl: Workload) -> Workload:
     issues = []
-    if not isinstance(wl.batch, int) or wl.batch < 1:
+    if type(wl.batch) is not int or wl.batch < 1:
         issues.append(("non_positive_field", f"batch must be an integer >= 1, got {wl.batch!r}"))
-    if not isinstance(wl.prompt_len, int) or wl.prompt_len < 0:
+    if type(wl.prompt_len) is not int or wl.prompt_len < 0:
         issues.append(("non_positive_field", f"prompt_len must be an integer >= 0, got {wl.prompt_len!r}"))
-    if not isinstance(wl.gen_len, int) or wl.gen_len < 1:
+    if type(wl.gen_len) is not int or wl.gen_len < 1:
         issues.append(("non_positive_field", f"gen_len must be an integer >= 1, got {wl.gen_len!r}"))
     if issues:
         raise ConfigValidationError(issues)
@@ -178,13 +189,25 @@ def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
         issues.append(("non_finite_field", f"tpf must be finite, got {accel.tpf!r}"))
     elif accel.tpf < 1.0:
         issues.append(("non_positive_field", f"tpf must be >= 1, got {accel.tpf!r}"))
-    if accel.dual_cache and (not isinstance(accel.dual_cache_block, int) or accel.dual_cache_block < 1):
+    if accel.dual_cache and (type(accel.dual_cache_block) is not int or accel.dual_cache_block < 1):
         issues.append(("non_positive_field", f"dual_cache_block must be an integer >= 1, got {accel.dual_cache_block!r}"))
-    if not isinstance(accel.cache_refresh_interval, int) or accel.cache_refresh_interval < 1:
+    if type(accel.cache_refresh_interval) is not int or accel.cache_refresh_interval < 1:
         issues.append(("non_positive_field", f"cache_refresh_interval must be an integer >= 1, got {accel.cache_refresh_interval!r}"))
     if issues:
         raise ConfigValidationError(issues)
     return accel
+
+
+NO_ACCELERATION = AccelerationConfig()
+
+
+def out_of_range(arch: Architecture, wl: Workload) -> ConfigValidationError:
+    """The error of a valid point whose FLOP, byte or rate total is beyond the float range."""
+    return ConfigValidationError([(
+        "out_of_range",
+        f"{arch.value} at batch={wl.batch} prompt_len={wl.prompt_len} gen_len={wl.gen_len}: "
+        "a FLOP, byte or rate total is beyond the float range",
+    )])
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +312,7 @@ _HARDWARE_FIELDS = {"p_max": float, "b_mem": float, "capacity": float, "bytes_pe
 
 
 def hardware_from_dict(data: Mapping[str, Any], strict: bool = True) -> HardwareSpec:
-    f = read_fields(data, _HARDWARE_FIELDS, ("p_max", "b_mem", "capacity"), "hardware config", strict)
-    return validate_hardware(HardwareSpec(**f))
+    return HardwareSpec(**read_fields(data, _HARDWARE_FIELDS, ("p_max", "b_mem", "capacity"), "hardware config", strict))
 
 
 _WORKLOAD_FIELDS = {"batch": int, "prompt_len": int, "gen_len": int, "accel": dict}
@@ -298,8 +320,7 @@ _ACCEL_FIELDS = {"tpf": float, "dual_cache": bool, "dual_cache_block": int, "cac
 
 
 def acceleration_from_dict(data: Mapping[str, Any], strict: bool = True) -> AccelerationConfig:
-    fields = read_fields(data, _ACCEL_FIELDS, (), "acceleration config", strict)
-    return validate_acceleration(AccelerationConfig(**fields))
+    return AccelerationConfig(**read_fields(data, _ACCEL_FIELDS, (), "acceleration config", strict))
 
 
 def workload_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Workload, AccelerationConfig]:

@@ -17,6 +17,7 @@ runtime state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import (
@@ -26,6 +27,7 @@ from .config import (
     ModelConfig,
     NO_ACCELERATION,
     Workload,
+    out_of_range,
 )
 from .schedule import DecodeSchedule, build_schedule
 
@@ -65,16 +67,23 @@ def schedule_memory(
     wl: Workload,
     accel: AccelerationConfig,
 ) -> MemoryReport:
-    """Footprint of ``wl`` under ``schedule``, the ``build_schedule`` of the same point."""
+    """Footprint of ``wl`` under ``schedule``, the ``build_schedule`` of the same point.
+
+    A footprint beyond the float range is an ``out_of_range`` error, never a
+    report with an infinite total or headroom.
+    """
     bpe = hw.bytes_per_element
     weights = bpe * cfg.n_params
 
     holds_kv = schedule.arch is not Architecture.DLM or accel.dual_cache
-    kv = bpe * 2.0 * cfg.n_l * cfg.d * wl.total_len * wl.batch if holds_kv else 0.0
-
     activations = bpe * ACTIVATION_SCALE * cfg.n_l * schedule.decode.max_active * cfg.d * wl.batch
-
-    total = weights + kv + activations + OVERHEAD_BYTES
+    try:
+        kv = bpe * 2.0 * cfg.n_l * cfg.d * wl.total_len * wl.batch if holds_kv else 0.0
+        total = weights + kv + activations + OVERHEAD_BYTES
+    except OverflowError:  # an integer beyond the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise out_of_range(schedule.arch, wl)
     return MemoryReport(
         weights_bytes=weights,
         kv_cache_bytes=kv,

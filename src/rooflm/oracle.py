@@ -240,17 +240,6 @@ class OracleReport:
             for p in c.points
         ]
 
-    def to_csv(self) -> str:
-        return _csv_text([_CSV_HEADER, *self.csv_rows()])
-
-
-def _csv_text(rows: Sequence[Sequence[str]]) -> str:
-    import csv  # here, not at the top: only the CSV writers need it, and every command pays for module imports
-
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
-
 
 def _metric_pairs(
     arch: Architecture,
@@ -406,8 +395,12 @@ def battery_report(reports: Sequence[tuple[str, OracleReport]]) -> tuple[str, st
     The text joins the reports' ``to_text`` under ``=== label ===`` headers;
     the CSV prefixes every report's rows with a ``config`` column.
     """
-    blocks, rows = [], [("config", *_CSV_HEADER)]
+    import csv  # here, not at the top: only this CSV needs it, and every command pays for module imports
+
+    blocks, out = [], io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("config", *_CSV_HEADER))
     for label, report in reports:
         blocks.append(f"=== {label} ===\n{report.to_text()}")
-        rows.extend((label, *row) for row in report.csv_rows())
-    return "\n".join(blocks), _csv_text(rows)
+        writer.writerows((label, *row) for row in report.csv_rows())
+    return "\n".join(blocks), out.getvalue()

@@ -37,7 +37,6 @@ from .config import (
     ModelConfig,
     NO_ACCELERATION,
     Workload,
-    validate_acceleration,
     validate_model_config,
     validate_workload,
 )
@@ -264,7 +263,6 @@ def build_schedule(
     if accel.dual_cache and arch is not Architecture.DLM:
         raise ConfigValidationError([("unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}")])
     validate_workload(wl)
-    validate_acceleration(accel)
 
     if arch is Architecture.AR:
         decode = _ar_sums(wl, accel.tpf)

@@ -34,10 +34,9 @@ from .config import (
     json_object,
     model_config_from_dict,
     read_fields,
-    validate_hardware,
     validate_model_config,
 )
-from .errors import ConfigValidationError, EmptyRowSet, NonPositiveIntensity
+from .errors import ConfigValidationError, EmptyRowSet
 from .memory import MemoryReport, schedule_memory
 from .presets import (
     A800_CLASS,
@@ -113,7 +112,6 @@ def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
         raise ConfigValidationError(issues)
     for arch in spec.architectures:
         validate_model_config(spec.model_for(arch), arch)
-    validate_hardware(spec.hardware)
     return spec
 
 
@@ -202,42 +200,15 @@ def evaluate_point(
 
     The point is scheduled and costed once, and both come from that one
     schedule, so they equal what ``estimate_memory`` and
-    ``estimate_throughput`` return for it. Valid inputs far beyond any real
-    model can take a total past the float range; such a point is an
+    ``estimate_throughput`` return for it, and are rejected as they are: a
+    point whose valid inputs take a total past the float range is an
     ``out_of_range`` error, never a row holding an infinite or NaN number.
     """
-    validate_hardware(hw)
-    return _evaluate_point(arch, cfg, hw, wl, accel, source, include_prefill)
-
-
-def _evaluate_point(
-    arch: Architecture,
-    cfg: ModelConfig,
-    hw: HardwareSpec,
-    wl: Workload,
-    accel: AccelerationConfig,
-    source: IntensitySource,
-    include_prefill: bool,
-) -> SweepRow:
-    """``evaluate_point`` on hardware already validated, as a sweep's is once per sweep."""
-    try:
-        schedule = build_schedule(arch, cfg, wl, accel)
-        memory = schedule_memory(schedule, cfg, hw, wl, accel)
-        est = schedule_throughput(
-            schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=source, include_prefill=include_prefill
-        )
-        finite = all(map(math.isfinite, (
-            memory.total_bytes, est.flops_total, est.mops_total, est.arint,
-            est.attainable, est.flops_per_token, est.tokens_per_second,
-        )))
-    except (OverflowError, NonPositiveIntensity):  # a total overflowed, or the intensity underflowed to 0
-        finite = False
-    if not finite:
-        raise ConfigValidationError([(
-            "out_of_range",
-            f"{arch.value} at batch={wl.batch} prompt_len={wl.prompt_len} gen_len={wl.gen_len}: "
-            "a FLOP, byte or rate total is beyond the float range",
-        )])
+    schedule = build_schedule(arch, cfg, wl, accel)
+    memory = schedule_memory(schedule, cfg, hw, wl, accel)
+    est = schedule_throughput(
+        schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=source, include_prefill=include_prefill
+    )
     return SweepRow(
         arch=arch,
         accel_label=accel.label,
@@ -257,7 +228,7 @@ def run_sweep(
     include_prefill: bool = False,
 ) -> tuple[SweepRow, ...]:
     validate_sweep_spec(spec)
-    rows = []
+    hw, rows = spec.hardware, []
     for arch in spec.architectures:
         cfg = spec.model_for(arch)
         accel = spec.accel_for(arch)
@@ -265,7 +236,7 @@ def run_sweep(
             for prompt_len in spec.prompt_lens:
                 for gen_len in spec.gen_lens:
                     wl = Workload(batch=batch, prompt_len=prompt_len, gen_len=gen_len)
-                    rows.append(_evaluate_point(arch, cfg, spec.hardware, wl, accel, source, include_prefill))
+                    rows.append(evaluate_point(arch, cfg, hw, wl, accel, source=source, include_prefill=include_prefill))
     return tuple(sorted(rows, key=lambda r: r.key))
 
 
@@ -309,9 +280,10 @@ def csv_text(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> Path:
+def write_report(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8 with LF line ends; the directory must exist."""
     path = Path(path)
-    path.write_text(csv_text(rows), encoding="utf-8", newline="\n")
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path
 
 
@@ -408,12 +380,6 @@ def svg_text(rows: Sequence[SweepRow], axis: str, title: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit_svg(rows: Sequence[SweepRow], axis: str, path: str | Path, title: Optional[str] = None) -> Path:
-    path = Path(path)
-    path.write_text(svg_text(rows, axis, title or f"throughput vs {axis}"), encoding="utf-8", newline="\n")
-    return path
-
-
 def emit_report_set(rows: Sequence[SweepRow], out_dir: str | Path, spec: SweepSpec) -> list[Path]:
     """Write sweep.csv plus one SVG per (axis, prompt length) slice.
 
@@ -425,13 +391,13 @@ def emit_report_set(rows: Sequence[SweepRow], out_dir: str | Path, spec: SweepSp
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = [emit_csv(rows, out_dir / "sweep.csv")]
+    written = [write_report(out_dir / "sweep.csv", csv_text(rows))]
 
     def plot(slice_rows: list[SweepRow], axis: str, path: Path, title: str) -> None:
         if all(r.throughput is None for r in slice_rows):
             warnings.warn(f"skipped {path}: every row of its slice is out of memory")
         else:
-            written.append(emit_svg(slice_rows, axis, path, title=title))
+            written.append(write_report(path, svg_text(slice_rows, axis, title)))
 
     gen_batch = min(spec.batches)
     batch_gen = 256 if 256 in spec.gen_lens else spec.gen_lens[len(spec.gen_lens) // 2]

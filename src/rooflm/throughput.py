@@ -16,6 +16,7 @@ prefill is reported separately and folded into memory and total-FLOPs views.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -28,7 +29,9 @@ from .config import (
     ModelConfig,
     NO_ACCELERATION,
     Workload,
+    out_of_range,
 )
+from .errors import NonPositiveIntensity
 from .roofline import Regime, attainable_performance
 from .schedule import DecodeSchedule, build_schedule
 
@@ -94,24 +97,30 @@ def schedule_throughput(
     ``include_prefill`` folds the prompt pass into the reported totals and,
     for the schedule source, into the intensity and FLOPs/token as well; the
     published estimates carry no prefill convention and are decode-only.
+    Valid inputs far beyond any real model can take a total past the float
+    range; such a point is an ``out_of_range`` error, never an estimate
+    holding an infinite or NaN number.
     """
-    agg = cost.combined if include_prefill else cost.decode
-    flops, mops = agg.flops, agg.mops
     steps = schedule.decode.passes
-
-    if source is IntensitySource.PUBLISHED:
-        arch = schedule.arch
-        arint = published_arint(arch, cfg, wl)
-        fpt = flops_per_token(steps * published_step_flops(arch, cfg, wl), wl)
-    else:
-        arint = flops / mops
-        fpt = flops_per_token(flops, wl)
-
-    point = attainable_performance(hw, arint)
+    try:
+        agg = cost.combined if include_prefill else cost.decode
+        flops, mops = agg.flops, agg.mops
+        if source is IntensitySource.PUBLISHED:
+            arint = published_arint(schedule.arch, cfg, wl)
+            fpt = flops_per_token(steps * published_step_flops(schedule.arch, cfg, wl), wl)
+        else:
+            arint = flops / mops
+            fpt = flops_per_token(flops, wl)
+        point = attainable_performance(hw, arint)
+        tps = point.attainable / fpt
+    except (OverflowError, NonPositiveIntensity):  # a total overflowed, or the intensity underflowed to 0
+        raise out_of_range(schedule.arch, wl) from None
+    if not all(map(math.isfinite, (flops, mops, arint, point.attainable, fpt, tps))):
+        raise out_of_range(schedule.arch, wl)
     return ThroughputEstimate(
         flops_per_token=fpt,
         attainable=point.attainable,
-        tokens_per_second=point.attainable / fpt,
+        tokens_per_second=tps,
         generated_tokens=wl.batch * wl.gen_len,
         regime=point.regime,
         source=source,

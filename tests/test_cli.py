@@ -163,6 +163,14 @@ class TestAnalyze:
         assert out == ""
         assert "absent.json" in err
 
+    def test_csv_into_missing_directory_exits_1(self, capsys, config_files, tmp_path):
+        # the report writer creates no directories
+        code, _, err = run(capsys, "analyze", *[f"--{kind}={path}" for kind, path in config_files.items()],
+                           "--csv", str(tmp_path / "absent" / "row.csv"))
+        assert code == 1
+        assert err.startswith("error: ") and "absent" in err
+        assert not (tmp_path / "absent").exists()
+
     def test_malformed_json_exits_2_with_location(self, capsys, config_files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"arch": "DLM",\n  broken')

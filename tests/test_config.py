@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from rooflm.config import (
     workload_from_dict,
 )
 from rooflm.errors import ConfigValidationError
+from rooflm.presets import A800_CLASS
 
 
 def toy_config(**overrides):
@@ -107,6 +109,81 @@ class TestHardwareWorkloadAccel:
         assert AccelerationConfig(tpf=2.0).label == "parallel"
         assert AccelerationConfig(dual_cache=True).label == "dual-cache"
         assert AccelerationConfig(tpf=2.0, dual_cache=True).label == "parallel+dual-cache"
+
+
+# fields of a hardware profile or acceleration config that break one rule each, and the code of that rule
+INVALID_HARDWARE = {
+    "zero_p_max": ({"p_max": 0.0}, "non_positive_field"),
+    "negative_p_max": ({"p_max": -1e14}, "non_positive_field"),
+    "zero_b_mem": ({"b_mem": 0.0}, "non_positive_field"),
+    "negative_capacity": ({"capacity": -1.0}, "non_positive_field"),
+    "nan_capacity": ({"capacity": math.nan}, "non_finite_field"),
+    "infinite_capacity": ({"capacity": math.inf}, "non_finite_field"),
+    "three_byte_elements": ({"bytes_per_element": 3}, "non_positive_field"),
+    "bool_elements": ({"bytes_per_element": True}, "non_positive_field"),
+    "float_elements": ({"bytes_per_element": 2.0}, "non_positive_field"),
+    "ridge_overflow": ({"p_max": 1e308, "b_mem": 1e-10}, "out_of_range"),
+    "ridge_underflow": ({"p_max": 1e-300, "b_mem": 1e300}, "out_of_range"),
+    "nan_p_max": ({"p_max": math.nan}, "out_of_range"),
+}
+INVALID_ACCELERATION = {
+    "tpf_below_one": ({"tpf": 0.5}, "non_positive_field"),
+    "nan_tpf": ({"tpf": math.nan}, "non_finite_field"),
+    "infinite_tpf": ({"tpf": math.inf}, "non_finite_field"),
+    "zero_refresh_interval": ({"cache_refresh_interval": 0}, "non_positive_field"),
+    "bool_refresh_interval": ({"cache_refresh_interval": True}, "non_positive_field"),
+    "zero_dual_cache_block": ({"dual_cache": True, "dual_cache_block": 0}, "non_positive_field"),
+    "bool_dual_cache_block": ({"dual_cache": True, "dual_cache_block": True}, "non_positive_field"),
+}
+
+
+class TestSelfValidation:
+    """A HardwareSpec or AccelerationConfig that breaks a rule cannot be built."""
+
+    @pytest.mark.parametrize("case", list(INVALID_HARDWARE))
+    def test_hardware_rule_raises_when_built(self, case):
+        fields, code = INVALID_HARDWARE[case]
+        for build in (lambda: replace(A800_CLASS, **fields), lambda: HardwareSpec(**{**vars(A800_CLASS), **fields})):
+            with pytest.raises(ConfigValidationError) as exc:
+                build()
+            assert exc.value.codes() == (code,)
+
+    @pytest.mark.parametrize("case", list(INVALID_ACCELERATION))
+    def test_acceleration_rule_raises_when_built(self, case):
+        fields, code = INVALID_ACCELERATION[case]
+        with pytest.raises(ConfigValidationError) as exc:
+            AccelerationConfig(**fields)
+        assert exc.value.codes() == (code,)
+
+    def test_rules_aggregate(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            HardwareSpec(p_max=-1.0, b_mem=0.0, capacity=math.nan, bytes_per_element=3)
+        assert exc.value.codes() == ("non_positive_field",) * 2 + ("non_finite_field", "non_positive_field")
+
+    def test_dual_cache_block_unchecked_without_dual_cache(self):
+        assert AccelerationConfig(dual_cache_block=0).dual_cache_block == 0
+
+
+class TestIntegerFieldsRejectBool:
+    """``True == 1``, but a bool is not a count: every integer field rejects it with today's code."""
+
+    @pytest.mark.parametrize("name", ["n_l", "n_h", "n_d", "d"])
+    def test_model_shape(self, name):
+        cfg = toy_config(**{name: True})
+        with pytest.raises(ConfigValidationError) as exc:
+            validate_model_config(cfg, Architecture.AR)
+        assert "non_positive_field" in exc.value.codes()
+
+    def test_block_size(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            validate_model_config(toy_config(block_size=True), Architecture.BLOCK_DIFFUSION)
+        assert exc.value.codes() == ("non_positive_field",)
+
+    @pytest.mark.parametrize("name", ["batch", "prompt_len", "gen_len"])
+    def test_workload(self, name):
+        with pytest.raises(ConfigValidationError) as exc:
+            validate_workload(replace(Workload(1, 40, 256), **{name: True}))
+        assert exc.value.codes() == ("non_positive_field",)
 
 
 class TestIngestion:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rooflm.config import AccelerationConfig, Architecture, ModelConfig, Workload
+from rooflm.errors import ConfigValidationError
 from rooflm.memory import estimate_memory
 from rooflm.presets import A800_CLASS, AR_8B, BLOCK_DIFFUSION_8B, DLM_8B
 
@@ -119,3 +120,20 @@ class TestOomReproduction:
             for batch in BATCH_GRID:
                 rep = estimate_memory(Architecture.AR, AR_8B, A800_CLASS, Workload(batch, prompt, 256))
                 assert not rep.oom
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize(
+        "arch, cfg, wl",
+        [
+            (Architecture.AR, replace(AR_8B, n_params=1e308), Workload(1, 40, 256)),
+            (Architecture.AR, replace(AR_8B, n_params=float("inf")), Workload(1, 40, 256)),
+            (Architecture.DLM, DLM_8B, Workload(1, 40, 10**400)),
+            (Architecture.BLOCK_DIFFUSION, BLOCK_DIFFUSION_8B, Workload(10**300, 40, 256)),
+        ],
+        ids=["weights_overflow", "infinite_weights", "integer_beyond_float_range", "footprint_overflow"],
+    )
+    def test_footprint_beyond_the_float_range(self, arch, cfg, wl):
+        with pytest.raises(ConfigValidationError) as exc:
+            estimate_memory(arch, cfg, A800_CLASS, wl)
+        assert exc.value.codes() == ("out_of_range",)

@@ -12,6 +12,7 @@ from rooflm.analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.oracle import (
     OP_NAMES,
+    battery_report,
     count_forward,
     count_schedule,
     default_battery,
@@ -257,9 +258,9 @@ class TestOracleCheck:
         report = oracle_check(Architecture.DLM, cfg, Workload(1, 0, 256), variables=("B",))
         text = report.to_text()
         assert "softmax" in text and "overall" in text
-        csv = report.to_csv()
+        csv = battery_report([("toy", report)])[1]
         header = csv.splitlines()[0]
-        assert header == "check,point,analytic,oracle,ratio,exponent_analytic,exponent_oracle,verdict"
+        assert header == "config,check,point,analytic,oracle,ratio,exponent_analytic,exponent_oracle,verdict"
         assert len(csv.splitlines()) == 1 + 5 * 4  # five metrics, four batch points
 
     def test_rejects_non_toy_scale(self):

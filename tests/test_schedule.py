@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, groupby
 
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rooflm.analytic import total_cost
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.errors import ConfigValidationError
 from rooflm.memory import estimate_memory
 from rooflm.oracle import count_schedule, oracle_check
-from rooflm.schedule import StepDescriptor, _step_count, build_schedule
-from rooflm.throughput import crossing_batch, estimate_throughput
+from rooflm.presets import A800_CLASS, AR_8B, DLM_8B
+from rooflm.schedule import PhaseSums, StepDescriptor, _step_count, build_schedule
+from rooflm.sweep import evaluate_point
+from rooflm.throughput import IntensitySource, crossing_batch, estimate_throughput
 
 from conftest import dlm_only_dual_cache, passes, phase_sums
 
@@ -318,3 +322,56 @@ class TestRuns:
             (StepDescriptor(min(block, wl.gen_len - start), wl.prompt_len + min(start + block, wl.gen_len), False), n)
             for start in range(0, wl.gen_len, block)
         ]
+
+
+# the grid on which the identities below were first measured, widened by hypothesis
+IDENTITY_PROMPTS = st.sampled_from((0, 1, 40, 920)) | st.integers(0, 2000)
+IDENTITY_GEN_LENS = st.sampled_from((1, 2, 3, 7, 64, 100, 256, 310)) | st.integers(1, 400)
+
+
+def schedule_outputs(sched):
+    """Everything a schedule hands its consumers: both phases' sums and the decode and prefill runs."""
+    return sched.decode, sched.prefill, list(sched.expand())
+
+
+class TestCrossArchitectureIdentities:
+    """Block diffusion interpolates between AR and DLM (BD3-LM, arXiv 2503.09573); here exactly at its two ends."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(prompt=IDENTITY_PROMPTS, gen=IDENTITY_GEN_LENS, k=st.sampled_from((1, 2, 3, 4, 5, 8)) | st.integers(1, 16),
+           include_prefill=st.booleans())
+    @example(prompt=40, gen=310, k=8, include_prefill=True)
+    def test_ar_at_integer_tpf_is_block_diffusion_with_that_block_size(self, prompt, gen, k, include_prefill):
+        # AR finalizes k tokens a pass; block diffusion with G = k and tpf = k denoises each block in one pass
+        cfg = replace(AR_8B, block_size=k)  # AR ignores the block size
+        wl, accel = Workload(7, prompt, gen), AccelerationConfig(tpf=float(k))
+        ar, bd = (build_schedule(arch, cfg, wl, accel) for arch in (Architecture.AR, Architecture.BLOCK_DIFFUSION))
+        assert schedule_outputs(ar) == schedule_outputs(bd)
+        ar_row, bd_row = (
+            evaluate_point(arch, cfg, A800_CLASS, wl, accel, source=IntensitySource.SCHEDULE,
+                           include_prefill=include_prefill)
+            for arch in (Architecture.AR, Architecture.BLOCK_DIFFUSION)
+        )
+        assert ar_row.memory == bd_row.memory
+        assert ar_row.estimate == bd_row.estimate
+
+    @settings(max_examples=200, deadline=None)
+    @given(prompt=IDENTITY_PROMPTS, gen=IDENTITY_GEN_LENS, batch=st.integers(1, 64),
+           tpf=st.sampled_from(ANY_TPF) | st.floats(1.0, 16.0))
+    @example(prompt=0, gen=256, batch=1, tpf=1.0)
+    @example(prompt=40, gen=256, batch=1, tpf=1.0)  # decode active differs by 10,240 = 256 passes x 40 tokens
+    def test_dlm_is_block_diffusion_with_one_block_only_at_prompt_zero(self, prompt, gen, batch, tpf):
+        cfg = replace(DLM_8B, block_size=gen)
+        wl, accel = Workload(batch, prompt, gen), AccelerationConfig(tpf=tpf)
+        dlm, bd = (build_schedule(arch, cfg, wl, accel) for arch in (Architecture.DLM, Architecture.BLOCK_DIFFUSION))
+        if prompt == 0:
+            # DLM keeps no K/V, so only the schedules and their costs match, not the memory reports
+            assert schedule_outputs(dlm) == schedule_outputs(bd)
+            assert total_cost(dlm, cfg, A800_CLASS) == total_cost(bd, cfg, A800_CLASS)
+            assert (estimate_throughput(Architecture.DLM, cfg, A800_CLASS, wl, accel)
+                    == estimate_throughput(Architecture.BLOCK_DIFFUSION, cfg, A800_CLASS, wl, accel))
+        else:
+            # DLM re-encodes the prompt on every pass; block diffusion prefills it once
+            assert dlm.prefill == PhaseSums() and bd.prefill == PhaseSums.uniform(1, prompt, prompt)
+            assert dlm.decode.passes == bd.decode.passes
+            assert dlm.decode.active - bd.decode.active == dlm.decode.passes * prompt

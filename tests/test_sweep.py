@@ -2,6 +2,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+import rooflm.config
 import rooflm.memory
 import rooflm.sweep
 import rooflm.throughput
@@ -13,9 +14,7 @@ from rooflm.sweep import (
     CSV_COLUMNS,
     SweepSpec,
     csv_text,
-    emit_csv,
     emit_report_set,
-    emit_svg,
     evaluate_point,
     run_sweep,
     svg_text,
@@ -81,18 +80,19 @@ class TestGrid:
     def test_invalid_hardware_rejected_before_any_point(self, monkeypatch):
         evaluated = []
         monkeypatch.setattr(rooflm.sweep, "build_schedule", lambda *args: evaluated.append(args))
-        spec = toy_spec(hardware=replace(TOY_HW, b_mem=0.0))
         for check in (validate_sweep_spec, run_sweep):
             with pytest.raises(ConfigValidationError) as exc:
-                check(spec)
+                check(toy_spec(hardware=replace(TOY_HW, b_mem=0.0)))
             assert exc.value.codes() == ("non_positive_field",)
         assert evaluated == []
 
-    def test_hardware_validated_once_per_sweep(self, monkeypatch):
+    def test_sweep_validates_no_hardware(self, monkeypatch):
+        spec = toy_spec()  # its HardwareSpec validated itself when built
         validated = []
-        monkeypatch.setattr(rooflm.sweep, "validate_hardware", validated.append)
-        run_sweep(toy_spec())
-        assert validated == [TOY_HW]
+        for module in (rooflm.config, rooflm.sweep, rooflm.memory, rooflm.throughput):
+            monkeypatch.setattr(module, "validate_hardware", validated.append, raising=False)
+        run_sweep(spec)
+        assert validated == []
 
     def test_spec_from_dict_defaults(self):
         spec = sweep_spec_from_dict({})
@@ -171,15 +171,29 @@ class TestSinglePointEvaluation:
         assert counts == {"build_schedule": 1, "total_cost": 1, "attainable_performance": 1}
 
     @pytest.mark.parametrize(
-        "hw",
-        [HardwareSpec(-1e12, 1e10, 1e12), replace(A800_CLASS, b_mem=0.0), replace(A800_CLASS, bytes_per_element=3)],
+        "changes", [{"p_max": -1e12}, {"b_mem": 0.0}, {"bytes_per_element": 3}],
         ids=["negative_p_max", "zero_b_mem", "three_byte_elements"],
     )
-    def test_rejects_invalid_hardware(self, hw):
+    def test_rejects_invalid_hardware(self, changes):
         with pytest.raises(ConfigValidationError) as exc:
-            evaluate_point(Architecture.AR, DEFAULT_MODELS[Architecture.AR], hw, POINT_WL, AccelerationConfig(),
-                           source=IntensitySource.SCHEDULE, include_prefill=False)
+            evaluate_point(Architecture.AR, DEFAULT_MODELS[Architecture.AR], replace(A800_CLASS, **changes), POINT_WL,
+                           AccelerationConfig(), source=IntensitySource.SCHEDULE, include_prefill=False)
         assert exc.value.codes() == ("non_positive_field",)
+
+    def test_rejects_bool_batch(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            evaluate_point(Architecture.AR, DEFAULT_MODELS[Architecture.AR], A800_CLASS, replace(POINT_WL, batch=True),
+                           AccelerationConfig(), source=IntensitySource.SCHEDULE, include_prefill=False)
+        assert exc.value.codes() == ("non_positive_field",)
+
+    @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])
+    @pytest.mark.parametrize("arch", list(Architecture), ids=[a.value for a in Architecture])
+    def test_phase_sum_beyond_the_float_range(self, arch, source):
+        # at gen_len 10**160 the footprint fits in a float, but the decode sum of s * ctx does not
+        with pytest.raises(ConfigValidationError) as exc:
+            evaluate_point(arch, DEFAULT_MODELS[arch], A800_CLASS, Workload(1, 0, 10**160), AccelerationConfig(),
+                           source=source, include_prefill=False)
+        assert exc.value.codes() == ("out_of_range",)
 
     @pytest.mark.parametrize("hw", list(POINT_HW))
     @pytest.mark.parametrize("include_prefill", [False, True], ids=["decode", "prefill"])
@@ -261,9 +275,9 @@ class TestEmission:
                 assert cols[name] == ""
             assert cols["flops_total"] != "" and cols["mem_bytes"] != ""
 
-    def test_emit_csv_empty_rejected(self, tmp_path):
+    def test_csv_empty_rejected(self):
         with pytest.raises(EmptyRowSet):
-            emit_csv([], tmp_path / "x.csv")
+            csv_text([])
 
     def test_svg_series_and_legend(self):
         spec = toy_spec(accel={Architecture.DLM: AccelerationConfig(tpf=2.0)})

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rooflm.analytic import length_regime
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
+from rooflm.errors import ConfigValidationError
 from rooflm.oracle import fit_exponent, vary
 from rooflm.presets import A800_CLASS, AR_8B, BLOCK_DIFFUSION_8B, DLM_8B
 from rooflm.roofline import Regime
@@ -167,3 +168,37 @@ class TestInvariantProperties:
     def test_crossing_none_when_saturated_below_ridge(self):
         # KV-cache traffic caps AR intensity below the ridge at this length
         assert crossing_batch(Architecture.AR, AR_8B, A800_CLASS, Workload(1, 40, 256)) is None
+
+
+OUT_OF_RANGE_MESSAGE = (
+    "{arch} at batch={batch} prompt_len=40 gen_len=256: a FLOP, byte or rate total is beyond the float range"
+)
+
+
+class TestOutOfRange:
+    """A valid point whose totals leave the float range is an ``out_of_range`` error, never a number."""
+
+    @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])
+    @pytest.mark.parametrize("include_prefill", [False, True], ids=["decode", "prefill"])
+    def test_overflowing_alpha(self, source, include_prefill):
+        with pytest.raises(ConfigValidationError) as exc:
+            estimate_throughput(Architecture.DLM, replace(DLM_8B, alpha=1e300), A800_CLASS, Workload(1, 40, 256),
+                                source=source, include_prefill=include_prefill)
+        assert exc.value.issues == (("out_of_range", OUT_OF_RANGE_MESSAGE.format(arch="DLM", batch=1)),)
+
+    @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])
+    def test_integer_beyond_the_float_range(self, source):
+        with pytest.raises(ConfigValidationError) as exc:
+            estimate_throughput(Architecture.AR, AR_8B, A800_CLASS, Workload(10**400, 40, 256), source=source)
+        assert exc.value.codes() == ("out_of_range",)
+
+    def test_crossing_batch_rejects_the_point(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            crossing_batch(Architecture.DLM, replace(DLM_8B, alpha=1e300), A800_CLASS, Workload(1, 40, 256))
+        assert exc.value.codes() == ("out_of_range",)
+
+
+def test_bool_batch_rejected():
+    with pytest.raises(ConfigValidationError) as exc:
+        estimate_throughput(Architecture.AR, AR_8B, A800_CLASS, Workload(True, 40, 256))
+    assert exc.value.issues == (("non_positive_field", "batch must be an integer >= 1, got True"),)
