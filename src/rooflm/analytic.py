@@ -15,17 +15,18 @@ sum of s, sum of s*L_ctx, sum of L_ctx; see ``schedule.PhaseSums``), so
 ``total_cost`` evaluates them in O(1) whatever the number of decode steps,
 and equals the sum of ``step_cost`` over the expanded steps.
 
-The ``published_*`` functions are a separate family: they evaluate the
-published per-architecture intensity estimates verbatim, including their AR
-numerator B*N and alpha^2 FFN term, which differ from the step-cost
-conventions above by constant factors. The two families are reconciled at
+``published_step`` and ``published_arint`` are a separate family: one
+branch per architecture evaluates the numerator and denominator of its
+published intensity estimate verbatim, and the intensity is their quotient.
+Their AR numerator B*N and alpha^2 FFN term differ from the step-cost
+conventions above by constant factors; the two families are reconciled at
 the level of scaling exponents only (see the counting oracle), never
 constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import fsum, inf
 
 from .config import Architecture, HardwareSpec, ModelConfig, Workload
@@ -60,14 +61,8 @@ class CostBreakdown:
 
     @property
     def components(self) -> dict[str, float]:
-        return {
-            "projection_flops": self.projection_flops,
-            "attention_flops": self.attention_flops,
-            "ffn_flops": self.ffn_flops,
-            "weights_read": self.weights_read,
-            "kv_read_write": self.kv_read_write,
-            "activation_io": self.activation_io,
-        }
+        """Every field by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -87,41 +82,30 @@ class ScheduleCost:
 # Published arithmetic-intensity estimates (evaluated verbatim)
 
 def published_arint(arch: Architecture, cfg: ModelConfig, wl: Workload) -> float:
-    """Published intensity estimate: ``published_step_flops / published_step_bytes``.
+    """Published intensity estimate: the quotient of the pair ``published_step`` returns.
 
     The AR estimate is bounded above by B and equals 1 exactly at L = 0.
     """
-    return published_step_flops(arch, cfg, wl) / published_step_bytes(arch, cfg, wl)
+    flops, elements = published_step(arch, cfg, wl)
+    return flops / elements
 
 
-def published_step_flops(arch: Architecture, cfg: ModelConfig, wl: Workload) -> float:
-    """Per-decode-step FLOPs under the published intensity numerators' conventions.
+def published_step(arch: Architecture, cfg: ModelConfig, wl: Workload) -> tuple[float, float]:
+    """Per-decode-step (FLOPs, elements) under the published estimates, for reproducing their figures.
 
-    Used only when reproducing figures from the published estimates, so the
-    model-side and hardware-side terms share one convention.
-    """
-    b, d, seq = wl.batch, cfg.d, wl.total_len
-    if arch is Architecture.AR:
-        return float(b * cfg.n_params)
-    if arch is Architecture.DLM:
-        return 2.0 * b * cfg.n_l * (2.0 * seq * d**2 + cfg.alpha**2 * seq * d**2 + seq**2 * d)
-    g = cfg.block_size
-    return 2.0 * b * cfg.n_l * (2.0 * g * d**2 + cfg.alpha**2 * g * d**2 + seq * g * d)
-
-
-def published_step_bytes(arch: Architecture, cfg: ModelConfig, wl: Workload) -> float:
-    """Denominators of the published intensity estimates, in elements.
-
-    AR: N + B*n_l*n_h*n_d*L; DLM: N + B*n_l*d*L; block diffusion:
-    N + 2*B*n_l*d*L + B*n_l*d*G.
+    AR: B*N over N + B*n_l*n_h*n_d*L; DLM: 2*B*n_l*(2*L*d^2 + alpha^2*L*d^2 + L^2*d)
+    over N + B*n_l*d*L; block diffusion: 2*B*n_l*(2*G*d^2 + alpha^2*G*d^2 + L*G*d)
+    over N + 2*B*n_l*d*L + B*n_l*d*G.
     """
     b, d, seq, n = wl.batch, cfg.d, wl.total_len, cfg.n_params
     if arch is Architecture.AR:
-        return n + b * cfg.n_l * cfg.n_h * cfg.n_d * seq
+        return float(b * n), n + b * cfg.n_l * cfg.n_h * cfg.n_d * seq
     if arch is Architecture.DLM:
-        return n + b * cfg.n_l * d * seq
+        return (2.0 * b * cfg.n_l * (2.0 * seq * d**2 + cfg.alpha**2 * seq * d**2 + seq**2 * d),
+                n + b * cfg.n_l * d * seq)
     g = cfg.block_size
-    return n + 2.0 * b * cfg.n_l * d * seq + b * cfg.n_l * d * g
+    return (2.0 * b * cfg.n_l * (2.0 * g * d**2 + cfg.alpha**2 * g * d**2 + seq * g * d),
+            n + 2.0 * b * cfg.n_l * d * seq + b * cfg.n_l * d * g)
 
 
 def length_regime(cfg: ModelConfig, wl: Workload) -> str:

@@ -15,7 +15,8 @@ A pass is its active tokens s, its context ctx and its phase; the other
 ctx - s tokens' K/V come from cache. Every cost is linear in a few sums over
 a phase's passes (see ``PhaseSums``), so ``build_schedule`` computes those
 sums in closed form, with integer arithmetic, in O(1) whatever the
-generation length. The passes themselves are expanded only on demand, by
+generation length; one branch per architecture picks both those sums and
+its run expansion. The passes themselves are expanded only on demand, by
 ``DecodeSchedule.expand``, as runs: a ``StepDescriptor`` and the number of
 consecutive passes equal to it. Runs split only where (s, ctx) or the phase
 changes: a DLM phase is one run at any tpf, a dual-cache refresh cycle a
@@ -237,17 +238,6 @@ def _block_runs(wl: Workload, block_size: int, tpf: float) -> Iterator[Run]:
         yield StepDescriptor(rem, wl.total_len, False), n
 
 
-def _runs(arch: Architecture, block_size, wl: Workload, accel: AccelerationConfig, has_prefill: bool) -> Iterator[Run]:
-    if has_prefill:
-        yield StepDescriptor(wl.prompt_len, wl.prompt_len, True), 1
-    if arch is Architecture.AR:
-        yield from _ar_runs(wl, accel.tpf)
-    elif arch is Architecture.DLM:
-        yield from _dlm_runs(wl, accel)
-    else:
-        yield from _block_runs(wl, block_size, accel.tpf)
-
-
 def build_schedule(
     arch: Architecture,
     cfg: ModelConfig,
@@ -265,18 +255,17 @@ def build_schedule(
     validate_workload(wl)
 
     if arch is Architecture.AR:
-        decode = _ar_sums(wl, accel.tpf)
+        decode, runs = _ar_sums(wl, accel.tpf), partial(_ar_runs, wl, accel.tpf)
     elif arch is Architecture.DLM:
-        decode = _dlm_sums(wl, accel)
+        decode, runs = _dlm_sums(wl, accel), partial(_dlm_runs, wl, accel)
     else:
-        decode = _block_sums(wl, cfg.block_size, accel.tpf)
+        decode, runs = _block_sums(wl, cfg.block_size, accel.tpf), partial(_block_runs, wl, cfg.block_size, accel.tpf)
     # a DLM re-encodes the prompt on every denoising pass; it has no separate prefill
-    has_prefill = arch is not Architecture.DLM and wl.prompt_len > 0
-    prefill = PhaseSums.uniform(1, wl.prompt_len, wl.prompt_len) if has_prefill else PhaseSums()
+    prompt = 0 if arch is Architecture.DLM else wl.prompt_len
     return DecodeSchedule(
         arch=arch,
         batch=wl.batch,
         decode=decode,
-        prefill=prefill,
-        expand=partial(_runs, arch, cfg.block_size, wl, accel, has_prefill),
+        prefill=PhaseSums.uniform(1, prompt, prompt) if prompt else PhaseSums(),
+        expand=lambda: chain(((StepDescriptor(prompt, prompt, True), 1),) if prompt else (), runs()),
     )

@@ -71,6 +71,8 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep grid and its models; building one that breaks a rule of ``validate_sweep_spec`` raises its issues."""
+
     architectures: tuple[Architecture, ...] = (
         Architecture.AR,
         Architecture.BLOCK_DIFFUSION,
@@ -82,6 +84,9 @@ class SweepSpec:
     accel: Mapping[Architecture, AccelerationConfig] = field(default_factory=dict)
     models: Mapping[Architecture, ModelConfig] = field(default_factory=dict)
     hardware: HardwareSpec = A800_CLASS
+
+    def __post_init__(self) -> None:
+        validate_sweep_spec(self)
 
     def model_for(self, arch: Architecture) -> ModelConfig:
         return self.models.get(arch, DEFAULT_MODELS[arch])
@@ -125,7 +130,9 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     ``models`` maps architecture name to a model document (its ``arch`` field
     may be omitted; given, it must equal the key); ``accel`` maps architecture name
     to an acceleration document; ``hardware`` is an inline hardware document.
-    A ``models`` or ``accel`` entry must name an architecture the sweep runs.
+    A ``models`` or ``accel`` entry must name an architecture the sweep runs
+    (an ``unused_entry`` issue, a rule of the document, not of ``SweepSpec``);
+    every other rule is checked by the ``SweepSpec`` as it is built.
     """
     data = read_fields(data, _SPEC_FIELDS, (), "sweep spec", strict)
     kwargs = {}
@@ -162,7 +169,7 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
         raise ConfigValidationError(unused)
     if extended_lengths and "gen_lens" not in data:
         kwargs["gen_lens"] = EXTENDED_GEN_LENS
-    return validate_sweep_spec(SweepSpec(**kwargs))
+    return SweepSpec(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,7 @@ def run_sweep(
     source: IntensitySource = IntensitySource.SCHEDULE,
     include_prefill: bool = False,
 ) -> tuple[SweepRow, ...]:
-    validate_sweep_spec(spec)
+    """Every grid point of ``spec`` (valid, since it checked itself when built) as a row, sorted by key."""
     hw, rows = spec.hardware, []
     for arch in spec.architectures:
         cfg = spec.model_for(arch)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .analytic import ScheduleCost, published_arint, published_step_flops, total_cost
+from .analytic import ScheduleCost, published_arint, published_step, total_cost
 from .config import (
     AccelerationConfig,
     Architecture,
@@ -107,7 +107,7 @@ def schedule_throughput(
         flops, mops = agg.flops, agg.mops
         if source is IntensitySource.PUBLISHED:
             arint = published_arint(schedule.arch, cfg, wl)
-            fpt = flops_per_token(steps * published_step_flops(schedule.arch, cfg, wl), wl)
+            fpt = flops_per_token(steps * published_step(schedule.arch, cfg, wl)[0], wl)
         else:
             arint = flops / mops
             fpt = flops_per_token(flops, wl)
