@@ -16,7 +16,11 @@ file that is not UTF-8 an ``invalid_encoding`` issue.
 A ``HardwareSpec`` or ``AccelerationConfig`` validates itself when built, so
 one that breaks a rule of ``validate_hardware`` or ``validate_acceleration``
 cannot exist and no caller re-checks it. A model's rules depend on its
-architecture and a workload's are checked by ``build_schedule``.
+architecture and a workload's are checked by ``build_schedule``. Library
+callers meet the JSON kinds too: ``p_max``, ``b_mem``, ``capacity``, ``tpf``,
+``alpha`` and ``N`` must be numbers (a bool is none) and ``dual_cache`` a
+bool, else a ``wrong_type`` issue; a NaN ``alpha`` or ``N`` is a
+``non_finite_field`` issue.
 """
 
 from __future__ import annotations
@@ -126,6 +130,27 @@ def derive_param_count(cfg: ModelConfig) -> float:
     return cfg.n_l * (4.0 * cfg.d**2 + 2.0 * cfg.alpha * cfg.d**2)
 
 
+# value kind -> (accepted Python types, what the message asks for); a bool is
+# accepted only where a bool is asked for, although bool is a subclass of int
+_KINDS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a finite number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    list: ((list, tuple), "an array"),
+    dict: (Mapping, "a JSON object"),
+}
+
+
+def _wrong_type(name: str, value: Any, kind: type, issues: list) -> bool:
+    """Whether ``value`` is not of JSON ``kind``; if it is not, a ``wrong_type`` issue is appended."""
+    types, expected = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        issues.append(("wrong_type", f"{name} must be {expected}, got {value!r}"))
+        return True
+    return False
+
+
 def validate_model_config(cfg: ModelConfig, arch: Architecture) -> ModelConfig:
     """Return ``cfg`` unchanged if every invariant holds, else raise the full issue list."""
     issues = []
@@ -133,10 +158,13 @@ def validate_model_config(cfg: ModelConfig, arch: Architecture) -> ModelConfig:
         value = getattr(cfg, name)
         if type(value) is not int or value < 1:
             issues.append(("non_positive_field", f"{name} must be an integer >= 1, got {value!r}"))
-    if cfg.alpha <= 0:
-        issues.append(("non_positive_field", f"alpha must be > 0, got {cfg.alpha!r}"))
-    if cfg.n_params <= 0:
-        issues.append(("non_positive_field", f"N must be > 0, got {cfg.n_params!r}"))
+    for name, value in (("alpha", cfg.alpha), ("N", cfg.n_params)):
+        if _wrong_type(name, value, float, issues) or value > 0:
+            continue
+        if math.isnan(value):
+            issues.append(("non_finite_field", f"{name} must not be NaN"))
+        else:
+            issues.append(("non_positive_field", f"{name} must be > 0, got {value!r}"))
     if isinstance(cfg.n_h, int) and isinstance(cfg.n_d, int) and cfg.d != cfg.n_h * cfg.n_d:
         issues.append(("dimension_mismatch", f"d must equal n_h*n_d: {cfg.d} != {cfg.n_h}*{cfg.n_d}"))
     if arch is Architecture.BLOCK_DIFFUSION:
@@ -154,6 +182,10 @@ _VALID_WIDTHS = (1, 2, 4, 8)
 
 def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
     issues = []
+    for name in ("p_max", "b_mem", "capacity"):
+        _wrong_type(name, getattr(hw, name), float, issues)
+    if issues:  # the range checks below need numbers
+        raise ConfigValidationError(issues)
     for name in ("p_max", "b_mem", "capacity"):
         if getattr(hw, name) <= 0:
             issues.append(("non_positive_field", f"{name} must be > 0, got {getattr(hw, name)!r}"))
@@ -185,6 +217,10 @@ def validate_workload(wl: Workload) -> Workload:
 
 def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
     issues = []
+    _wrong_type("tpf", accel.tpf, float, issues)
+    _wrong_type("dual_cache", accel.dual_cache, bool, issues)
+    if issues:  # the range checks below need a number and a flag
+        raise ConfigValidationError(issues)
     if not math.isfinite(accel.tpf):
         issues.append(("non_finite_field", f"tpf must be finite, got {accel.tpf!r}"))
     elif accel.tpf < 1.0:
@@ -216,23 +252,9 @@ def out_of_range(arch: Architecture, wl: Workload) -> ConfigValidationError:
 # largest accepted integer field; every integer up to it is exact as a float
 MAX_INTEGER = 2**53
 
-# value kind -> (accepted Python types, what the message asks for); a bool is
-# accepted only where a bool is asked for, although bool is a subclass of int
-_KINDS = {
-    int: (int, "an integer"),
-    float: ((int, float), "a finite number"),
-    bool: (bool, "true or false"),
-    str: (str, "a string"),
-    list: ((list, tuple), "an array"),
-    dict: (Mapping, "a JSON object"),
-}
-
-
 def _typed_value(name: str, value: Any, kind: type, issues: list) -> Any:
     """``value`` if it is of JSON ``kind`` (a number as a finite float), else None with an issue appended."""
-    types, expected = _KINDS[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        issues.append(("wrong_type", f"{name} must be {expected}, got {value!r}"))
+    if _wrong_type(name, value, kind, issues):
         return None
     if kind is int and value > MAX_INTEGER:
         issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
@@ -243,7 +265,7 @@ def _typed_value(name: str, value: Any, kind: type, issues: list) -> Any:
         except OverflowError:  # an integer beyond the float range
             value = math.inf
         if not math.isfinite(value):
-            issues.append(("non_finite_field", f"{name} must be {expected}, got {value!r}"))
+            issues.append(("non_finite_field", f"{name} must be {_KINDS[float][1]}, got {value!r}"))
             return None
     return value
 

@@ -281,7 +281,11 @@ def vary(variable: str, cfg: ModelConfig, wl: Workload, value: int) -> tuple[Mod
         return cfg, replace(wl, batch=value)
     if variable == "G":
         return replace(cfg, block_size=value), wl
-    raise ValueError(f"variable must be 'L', 'B', or 'G', got {variable!r}")
+    raise _unknown_variable(variable)
+
+
+def _unknown_variable(variable: str) -> ValueError:
+    return ValueError(f"variable must be 'L', 'B', or 'G', got {variable!r}")
 
 
 def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -293,10 +297,17 @@ def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def _grid(variable: str, cfg: ModelConfig, wl: Workload) -> list[int]:
+    """The values ``oracle_check`` samples ``variable`` at, or a ValueError if it cannot sample them."""
     if variable == "L":
+        if wl.prompt_len + 4 * wl.gen_len > _MAX_L:
+            raise ValueError(f"oracle_check is toy-scale only (L <= {_MAX_L})")
         return [wl.gen_len, 2 * wl.gen_len, 4 * wl.gen_len]
     if variable == "B":
         return [wl.batch, 2 * wl.batch, 4 * wl.batch, 8 * wl.batch]
+    if variable != "G":
+        raise _unknown_variable(variable)
+    if cfg.block_size is None:
+        raise ValueError("variable 'G' needs a model with a block size G")
     return [cfg.block_size, 2 * cfg.block_size, 4 * cfg.block_size, 8 * cfg.block_size]
 
 
@@ -309,15 +320,18 @@ def oracle_check(
     *,
     variables: Sequence[str],
 ) -> OracleReport:
-    """Sweep each of ``variables`` (see ``vary``) from the given base point and compare both sources."""
+    """Sweep each of ``variables`` (see ``vary``) from the given base point and compare both sources.
+
+    Every variable's grid is made before any point is evaluated: an unknown
+    variable, ``G`` on a model without a block size, or an ``L`` grid past
+    the toy-scale cap is a ``ValueError``.
+    """
     if cfg.n_l > _MAX_NL or cfg.d > _MAX_D:
         raise ValueError(f"oracle_check is toy-scale only (n_l <= {_MAX_NL}, d <= {_MAX_D})")
 
+    grids = [(variable, _grid(variable, cfg, wl)) for variable in variables]
     checks = []
-    for variable in variables:
-        grid = _grid(variable, cfg, wl)
-        if variable == "L" and wl.prompt_len + grid[-1] > _MAX_L:
-            raise ValueError(f"oracle_check is toy-scale only (L <= {_MAX_L})")
+    for variable, grid in grids:
         samples: dict[str, list[PointSample]] = {metric: [] for metric in METRICS}
         for value in grid:
             case_cfg, case_wl = vary(variable, cfg, wl, value)

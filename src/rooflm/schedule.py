@@ -86,8 +86,8 @@ class DecodeSchedule:
     def steps(self) -> tuple[StepDescriptor, ...]:
         """Every forward pass in order, expanded on demand in O(passes).
 
-        No code in the package reads it; it stays until the perfbench tracer
-        counts passes from the phase sums (ROADMAP item 1).
+        No code in the package or its tests reads it; it stays until the
+        perfbench tracer counts passes from the phase sums (ROADMAP item 1).
         """
         return tuple(chain.from_iterable(repeat(step, n) for step, n in self.expand()))
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,14 @@ from rooflm.config import Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.schedule import DecodeSchedule, PhaseSums
 
 
+def every_pass(schedule):
+    """Every pass of ``schedule``, prefill first, flattened from its runs."""
+    return tuple(chain.from_iterable(repeat(step, n) for step, n in schedule.expand()))
+
+
 def passes(schedule, prefill=False):
     """Every pass of one phase of ``schedule``, in order."""
-    return tuple(s for s in schedule.steps if s.is_prefill == prefill)
+    return tuple(s for s in every_pass(schedule) if s.is_prefill == prefill)
 
 
 def dlm_only_dual_cache(arch, accel):

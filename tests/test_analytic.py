@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from rooflm.analytic import (
     ACTIVATION_TRAFFIC_ELEMS,
+    CostBreakdown,
     published_arint,
+    published_step,
     length_regime,
     step_cost,
     total_cost,
@@ -15,7 +17,7 @@ from rooflm.analytic import (
 from rooflm.config import Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.schedule import StepDescriptor, build_schedule
 
-from conftest import schedule_of
+from conftest import every_pass, schedule_of
 
 
 def wl(batch=1, prompt=0, gen=16):
@@ -35,6 +37,15 @@ class TestPublishedIntensities:
 
     def test_ar_batch_4(self, toy_cfg):
         assert published_arint(AR, toy_cfg, wl(batch=4)) == pytest.approx(4000 / 2024, rel=1e-12)
+
+    def test_ar_step_pair(self, toy_cfg):
+        assert published_step(AR, toy_cfg, wl()) == (1000.0, 1256)
+
+    @pytest.mark.parametrize("arch", [AR, DLM, BLOCK])
+    def test_arint_is_the_quotient_of_the_step_pair(self, toy_cfg, arch):
+        cfg = replace(toy_cfg, block_size=4)
+        flops, elements = published_step(arch, cfg, wl(batch=3, prompt=5))
+        assert published_arint(arch, cfg, wl(batch=3, prompt=5)) == flops / elements
 
     def test_ar_zero_length_is_one(self, toy_cfg):
         # L = 0 collapses numerator and denominator to N; the formula accepts
@@ -148,6 +159,14 @@ class TestStepCost:
         assert cost.kv_read_write == bpe * 3 * tiny_cfg.n_l * 2 * tiny_cfg.d * 4
         assert cost.activation_io == bpe * ACTIVATION_TRAFFIC_ELEMS * 3 * tiny_cfg.n_l * 1 * tiny_cfg.d
 
+    def test_components_are_the_six_fields_in_order(self):
+        # ScheduleCost.combined and the oracle's count_schedule rely on this order
+        cost = CostBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert list(cost.components.items()) == [
+            ("projection_flops", 1.0), ("attention_flops", 2.0), ("ffn_flops", 3.0),
+            ("weights_read", 4.0), ("kv_read_write", 5.0), ("activation_io", 6.0),
+        ]
+
     def test_component_sums_match_totals(self, toy_cfg, toy_hw):
         cost = step_cost(toy_cfg, StepDescriptor(3, 9, False), toy_hw, batch=2)
         comp = cost.components
@@ -197,7 +216,7 @@ class TestTotalCost:
     def test_additive_over_concatenation(self, toy_cfg, toy_hw):
         s1 = build_schedule(Architecture.AR, toy_cfg, wl(gen=5))
         s2 = build_schedule(Architecture.AR, toy_cfg, wl(gen=9))
-        joined = schedule_of(Architecture.AR, 1, s1.steps + s2.steps)
+        joined = schedule_of(Architecture.AR, 1, every_pass(s1) + every_pass(s2))
         lhs = total_cost(joined, toy_cfg, toy_hw).decode
         a, b = (total_cost(s, toy_cfg, toy_hw).decode for s in (s1, s2))
         assert lhs.flops == pytest.approx(a.flops + b.flops, rel=1e-15)

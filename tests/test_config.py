@@ -32,7 +32,23 @@ def toy_config(**overrides):
     return ModelConfig(**base)
 
 
+# an alpha or N that is not a number, or is NaN, and the code of the rule it breaks
+INVALID_MODEL_NUMBERS = {
+    "string_alpha": ({"alpha": "3.5"}, "wrong_type"),
+    "bool_n": ({"n_params": True}, "wrong_type"),
+    "nan_alpha": ({"alpha": math.nan}, "non_finite_field"),
+    "nan_n": ({"n_params": math.nan}, "non_finite_field"),
+}
+
+
 class TestModelValidation:
+    @pytest.mark.parametrize("case", list(INVALID_MODEL_NUMBERS))
+    def test_model_number_rule(self, case):
+        fields, code = INVALID_MODEL_NUMBERS[case]
+        with pytest.raises(ConfigValidationError) as exc:
+            validate_model_config(toy_config(**fields), Architecture.AR)
+        assert exc.value.codes() == (code,)
+
     def test_valid_config_returned_unchanged(self):
         cfg = toy_config()
         assert validate_model_config(cfg, Architecture.AR) is cfg
@@ -59,6 +75,11 @@ class TestModelValidation:
         assert "dimension_mismatch" in codes
         assert "missing_block_size" in codes
         assert codes.count("non_positive_field") >= 2
+
+    def test_wrong_type_aggregates_with_other_rules(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            validate_model_config(toy_config(n_l=0, alpha="x", n_params=-1.0), Architecture.AR)
+        assert exc.value.codes() == ("non_positive_field", "wrong_type", "non_positive_field")
 
     def test_non_positive_n(self):
         with pytest.raises(ConfigValidationError) as exc:
@@ -111,7 +132,8 @@ class TestHardwareWorkloadAccel:
         assert AccelerationConfig(tpf=2.0, dual_cache=True).label == "parallel+dual-cache"
 
 
-# fields of a hardware profile or acceleration config that break one rule each, and the code of that rule
+# fields of a hardware profile or acceleration config that break one rule each, and the code of that rule;
+# a library caller gets the wrong_type issue a JSON caller gets, never a bare TypeError
 INVALID_HARDWARE = {
     "zero_p_max": ({"p_max": 0.0}, "non_positive_field"),
     "negative_p_max": ({"p_max": -1e14}, "non_positive_field"),
@@ -125,6 +147,10 @@ INVALID_HARDWARE = {
     "ridge_overflow": ({"p_max": 1e308, "b_mem": 1e-10}, "out_of_range"),
     "ridge_underflow": ({"p_max": 1e-300, "b_mem": 1e300}, "out_of_range"),
     "nan_p_max": ({"p_max": math.nan}, "out_of_range"),
+    "string_p_max": ({"p_max": "1e12"}, "wrong_type"),
+    "bool_p_max": ({"p_max": True}, "wrong_type"),
+    "none_b_mem": ({"b_mem": None}, "wrong_type"),
+    "bool_capacity": ({"capacity": False}, "wrong_type"),
 }
 INVALID_ACCELERATION = {
     "tpf_below_one": ({"tpf": 0.5}, "non_positive_field"),
@@ -134,6 +160,10 @@ INVALID_ACCELERATION = {
     "bool_refresh_interval": ({"cache_refresh_interval": True}, "non_positive_field"),
     "zero_dual_cache_block": ({"dual_cache": True, "dual_cache_block": 0}, "non_positive_field"),
     "bool_dual_cache_block": ({"dual_cache": True, "dual_cache_block": True}, "non_positive_field"),
+    "string_tpf": ({"tpf": "2"}, "wrong_type"),
+    "bool_tpf": ({"tpf": True}, "wrong_type"),
+    "string_dual_cache": ({"dual_cache": "false"}, "wrong_type"),
+    "int_dual_cache": ({"dual_cache": 1}, "wrong_type"),
 }
 
 
@@ -159,6 +189,11 @@ class TestSelfValidation:
         with pytest.raises(ConfigValidationError) as exc:
             HardwareSpec(p_max=-1.0, b_mem=0.0, capacity=math.nan, bytes_per_element=3)
         assert exc.value.codes() == ("non_positive_field",) * 2 + ("non_finite_field", "non_positive_field")
+
+    def test_wrong_types_aggregate(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            AccelerationConfig(tpf="2", dual_cache="false")
+        assert exc.value.codes() == ("wrong_type",) * 2
 
     def test_dual_cache_block_unchecked_without_dual_cache(self):
         assert AccelerationConfig(dual_cache_block=0).dual_cache_block == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rooflm import analytic, throughput
+from rooflm import analytic, oracle, throughput
 from rooflm.analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.oracle import (
@@ -20,7 +20,7 @@ from rooflm.oracle import (
 )
 from rooflm.schedule import StepDescriptor, build_schedule
 
-from conftest import dlm_only_dual_cache, passes, schedule_of
+from conftest import dlm_only_dual_cache, every_pass, passes, schedule_of
 
 TINY = ModelConfig(n_l=1, n_h=1, n_d=2, d=2, alpha=2.0, n_params=100.0)
 HW = HardwareSpec(p_max=1e12, b_mem=1e10, capacity=1e18)
@@ -145,13 +145,13 @@ class TestCountSchedule:
         cfg = ModelConfig(n_l=2, n_h=2, n_d=4, d=8, alpha=4.0, n_params=1000.0)
         wl = Workload(3, 7, 9)
         sched = build_schedule(Architecture.DLM, cfg, wl)
-        one = fsum(o.flops for o in count_forward(cfg, sched.steps[0], HW, batch=3))
+        one = fsum(o.flops for o in count_forward(cfg, every_pass(sched)[0], HW, batch=3))
         assert count_schedule(sched, cfg, HW).decode.flops == pytest.approx(9 * one, rel=1e-15)
 
     def test_order_independence(self):
         cfg = ModelConfig(n_l=2, n_h=2, n_d=4, d=8, alpha=3.5, n_params=1000.0)
         sched = build_schedule(Architecture.AR, cfg, Workload(2, 3, 40))
-        shuffled_steps = list(sched.steps)
+        shuffled_steps = list(every_pass(sched))
         random.Random(7).shuffle(shuffled_steps)
         shuffled = schedule_of(sched.arch, sched.batch, shuffled_steps)
         a = count_schedule(sched, cfg, HW)
@@ -246,6 +246,20 @@ def test_count_schedule_memory_flat_in_gen_len():
     assert peak < 16_000
 
 
+def test_count_schedule_memory_on_ar_at_the_length_cap():
+    # AR runs are single passes, so the oracle holds O(passes): about 520-600 B a pass,
+    # 2.1-2.5 MB at the L cap of 4096 on CPython 3.11; the bound leaves about 1.4x of that
+    cfg = ModelConfig(n_l=1, n_h=1, n_d=8, d=8, alpha=1.0, n_params=64.0)
+    sched = build_schedule(Architecture.AR, cfg, Workload(1, 0, 4096))
+    tracemalloc.start()
+    try:
+        count_schedule(sched, cfg, HW)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_450_000
+
+
 class TestOracleCheck:
     def test_passes_on_toy_dlm(self):
         cfg = ModelConfig(n_l=2, n_h=1, n_d=8, d=8, alpha=1.0, n_params=128.0)
@@ -267,6 +281,19 @@ class TestOracleCheck:
         big = ModelConfig(n_l=32, n_h=32, n_d=128, d=4096, alpha=3.5, n_params=8e9)
         with pytest.raises(ValueError):
             oracle_check(Architecture.AR, big, Workload(1, 0, 16), variables=("B",))
+
+    @pytest.mark.parametrize("variables, message", [
+        (("X",), "variable must be 'L', 'B', or 'G', got 'X'"),
+        (("G",), "block size"),
+        (("B", "X"), "got 'X'"),  # the B sweep is not run first
+    ])
+    def test_rejects_a_variable_it_cannot_sample_before_any_point(self, monkeypatch, variables, message):
+        built = []
+        monkeypatch.setattr(oracle, "build_schedule", lambda *args: built.append(args))
+        cfg = ModelConfig(1, 1, 8, 8, 1.0, 64.0)  # no block size
+        with pytest.raises(ValueError, match=message):
+            oracle_check(Architecture.AR, cfg, Workload(1, 0, 16), variables=variables)
+        assert built == []
 
     def test_injected_bug_trips_exponent_mismatch(self, monkeypatch):
         # drop the quadratic attention term from the intensity estimate

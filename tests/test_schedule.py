@@ -17,7 +17,7 @@ from rooflm.schedule import PhaseSums, StepDescriptor, _step_count, build_schedu
 from rooflm.sweep import evaluate_point
 from rooflm.throughput import IntensitySource, crossing_batch, estimate_throughput
 
-from conftest import dlm_only_dual_cache, passes, phase_sums
+from conftest import dlm_only_dual_cache, every_pass, passes, phase_sums
 
 
 def cfg_for(arch, block_size=2):
@@ -44,14 +44,14 @@ small_accel = st.builds(
 class TestSpecExamples:
     def test_ar_with_prompt(self):
         sched = build_schedule(Architecture.AR, cfg_for(Architecture.AR), Workload(1, 2, 3))
-        assert [s.is_prefill for s in sched.steps] == [True, False, False, False]
-        assert sched.steps[0] == StepDescriptor(2, 2, True)
+        assert [s.is_prefill for s in every_pass(sched)] == [True, False, False, False]
+        assert every_pass(sched)[0] == StepDescriptor(2, 2, True)
         assert [(s.active_tokens, s.context_len) for s in passes(sched)] == [(1, 3), (1, 4), (1, 5)]
 
     def test_dlm_full_sequence_steps(self):
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, 3))
-        assert len(sched.steps) == 3
-        assert all(s == StepDescriptor(3, 3, False) for s in sched.steps)
+        assert len(every_pass(sched)) == 3
+        assert all(s == StepDescriptor(3, 3, False) for s in every_pass(sched))
 
     def test_dlm_parallel_step_count(self):
         sched = build_schedule(
@@ -63,7 +63,7 @@ class TestSpecExamples:
         sched = build_schedule(
             Architecture.BLOCK_DIFFUSION, cfg_for(Architecture.BLOCK_DIFFUSION), Workload(1, 0, 4)
         )
-        assert [(s.active_tokens, s.context_len) for s in sched.steps] == [(2, 2), (2, 2), (2, 4), (2, 4)]
+        assert [(s.active_tokens, s.context_len) for s in every_pass(sched)] == [(2, 2), (2, 2), (2, 4), (2, 4)]
 
 
 class TestDefaults:
@@ -103,14 +103,14 @@ class TestDualCache:
     def test_window_and_refresh(self):
         accel = AccelerationConfig(dual_cache=True, dual_cache_block=4, cache_refresh_interval=3)
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, 6), accel)
-        kinds = [(s.active_tokens, s.context_len) for s in sched.steps]
+        kinds = [(s.active_tokens, s.context_len) for s in every_pass(sched)]
         # refresh pass opens each 3-step cycle, then window steps
         assert kinds == [(6, 6), (4, 6), (4, 6), (4, 6), (6, 6), (4, 6), (4, 6), (4, 6)]
 
     def test_window_clamped_to_sequence(self):
         accel = AccelerationConfig(dual_cache=True, dual_cache_block=32, cache_refresh_interval=100)
         sched = build_schedule(Architecture.DLM, cfg_for(Architecture.DLM), Workload(1, 0, 4), accel)
-        assert all(s.active_tokens <= 4 for s in sched.steps)
+        assert all(s.active_tokens <= 4 for s in every_pass(sched))
 
 
 class TestTpfRounding:
@@ -145,7 +145,7 @@ class TestProperties:
     @given(arch=small_arch, wl=small_wl, accel=small_accel)
     def test_step_bounds(self, arch, wl, accel):
         sched = build_schedule(arch, cfg_for(arch), wl, dlm_only_dual_cache(arch, accel))
-        for s in sched.steps:
+        for s in every_pass(sched):
             assert 1 <= s.active_tokens <= s.context_len <= wl.total_len
 
     @settings(max_examples=80, deadline=None)
@@ -153,7 +153,7 @@ class TestProperties:
            tpf=st.sampled_from([1.0, 2.0, 3.0]))
     def test_context_monotone(self, arch, wl, tpf):
         sched = build_schedule(arch, cfg_for(arch), wl, AccelerationConfig(tpf=tpf))
-        ctxs = [s.context_len for s in sched.steps]
+        ctxs = [s.context_len for s in every_pass(sched)]
         assert all(b >= a for a, b in zip(ctxs, ctxs[1:]))
 
     @settings(max_examples=60, deadline=None)
@@ -163,7 +163,7 @@ class TestProperties:
         a = build_schedule(arch, cfg_for(arch), wl, accel)
         b = build_schedule(arch, cfg_for(arch), wl, accel)
         assert a == b
-        assert repr(a.steps) == repr(b.steps)
+        assert repr(every_pass(a)) == repr(every_pass(b))
 
     @settings(max_examples=60, deadline=None)
     @given(wl=small_wl)
@@ -212,7 +212,7 @@ class TestRuns:
         sched = build_schedule(arch, cfg_for(arch, block), wl, dlm_only_dual_cache(arch, accel))
         runs = list(sched.expand())
         assert all(n >= 1 for _, n in runs)
-        assert runs == [(step, len(list(group))) for step, group in groupby(sched.steps)]
+        assert runs == [(step, len(list(group))) for step, group in groupby(every_pass(sched))]
         for sums, prefill in ((sched.decode, False), (sched.prefill, True)):
             assert sum(n for step, n in runs if step.is_prefill == prefill) == sums.passes
             assert phase_sums(passes(sched, prefill)) == sums
@@ -230,7 +230,7 @@ class TestRuns:
             for tpf in (2, 2.0)
         )
         assert list(as_int.expand()) == list(as_float.expand())
-        assert as_int.steps == as_float.steps
+        assert every_pass(as_int) == every_pass(as_float)
         assert count_schedule(as_int, cfg, hw) == count_schedule(as_float, cfg, hw)
 
     @pytest.mark.parametrize("arch", [Architecture.AR, Architecture.BLOCK_DIFFUSION])

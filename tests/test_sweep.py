@@ -77,6 +77,28 @@ class TestGrid:
         with pytest.raises(ConfigValidationError):
             validate_sweep_spec(toy_spec(batches=(4, 2)))
 
+    @pytest.mark.parametrize("fields, code", [
+        ({"gen_lens": ()}, "empty_list"),
+        ({"batches": (4, 2)}, "not_increasing"),
+        ({"prompt_lens": (-1, 0)}, "non_positive_field"),
+        ({"architectures": (Architecture.AR, Architecture.AR)}, "duplicate_entry"),
+        ({"models": {Architecture.AR: ModelConfig(2, 2, 4, 9, 4.0, 1000.0)}}, "dimension_mismatch"),
+    ])
+    def test_spec_checks_itself_when_built(self, fields, code):
+        for build in (lambda: toy_spec(**fields), lambda: replace(toy_spec(), **fields)):
+            with pytest.raises(ConfigValidationError) as exc:
+                build()
+            assert exc.value.codes() == (code,)
+
+    def test_sweep_does_not_recheck_its_spec(self, monkeypatch):
+        spec = toy_spec()  # it validated itself when built
+        validated = []
+        monkeypatch.setattr(rooflm.sweep, "validate_sweep_spec", validated.append)
+        run_sweep(spec)
+        assert validated == []
+        sweep_spec_from_dict({"gen_lens": [8]})
+        assert len(validated) == 1  # by the spec's own constructor
+
     def test_invalid_hardware_rejected_before_any_point(self, monkeypatch):
         evaluated = []
         monkeypatch.setattr(rooflm.sweep, "build_schedule", lambda *args: evaluated.append(args))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -202,3 +203,10 @@ def test_bool_batch_rejected():
     with pytest.raises(ConfigValidationError) as exc:
         estimate_throughput(Architecture.AR, AR_8B, A800_CLASS, Workload(True, 40, 256))
     assert exc.value.issues == (("non_positive_field", "batch must be an integer >= 1, got True"),)
+
+
+@pytest.mark.parametrize("name", ["alpha", "n_params"])
+def test_nan_model_number_is_non_finite_not_out_of_range(name):
+    with pytest.raises(ConfigValidationError) as exc:
+        estimate_throughput(Architecture.AR, replace(AR_8B, **{name: math.nan}), A800_CLASS, Workload(1, 40, 256))
+    assert exc.value.codes() == ("non_finite_field",)
