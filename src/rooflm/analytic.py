@@ -13,7 +13,9 @@ Counting conventions (a matmul of shapes (s x k) @ (k x m) costs 2*s*k*m):
 A schedule's totals are linear in four sums over each phase's passes (count,
 sum of s, sum of s*L_ctx, sum of L_ctx; see ``schedule.PhaseSums``), so
 ``total_cost`` evaluates them in O(1) whatever the number of decode steps,
-and equals the sum of ``step_cost`` over the expanded steps.
+and equals the sum of ``step_cost`` over the expanded steps. No conversion of
+a valid point's integers (at most 2**53) overflows; an infinite total is
+``schedule_throughput``'s to reject.
 
 ``published_step`` and ``published_arint`` are a separate family: one
 branch per architecture evaluates the numerator and denominator of its
@@ -27,9 +29,9 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import fsum, inf
+from math import fsum
 
-from .config import Architecture, HardwareSpec, ModelConfig, Workload
+from .config import Architecture, HardwareSpec, ModelConfig, Workload, validate_model_config
 from .schedule import DecodeSchedule, PhaseSums, StepDescriptor
 
 # activation read/write traffic per active token, in units of d elements
@@ -104,6 +106,8 @@ def published_step(arch: Architecture, cfg: ModelConfig, wl: Workload) -> tuple[
         return (2.0 * b * cfg.n_l * (2.0 * seq * d**2 + cfg.alpha**2 * seq * d**2 + seq**2 * d),
                 n + b * cfg.n_l * d * seq)
     g = cfg.block_size
+    if g is None:
+        validate_model_config(cfg, arch)  # raises its missing_block_size issue
     return (2.0 * b * cfg.n_l * (2.0 * g * d**2 + cfg.alpha**2 * g * d**2 + seq * g * d),
             n + 2.0 * b * cfg.n_l * d * seq + b * cfg.n_l * d * g)
 
@@ -122,7 +126,7 @@ def length_regime(cfg: ModelConfig, wl: Workload) -> str:
 # Step and schedule costs
 
 def step_cost(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batch: int = 1) -> CostBreakdown:
-    """Closed-form cost of one forward pass described by ``step``.
+    """Closed-form cost of one forward pass described by ``step``, a pass of a built schedule.
 
     FLOPs = B*n_l*(8*s*d^2 + 4*s*L_ctx*d + 4*alpha*s*d^2)
     MOPs  = bytes_per_element*(N + B*n_l*2*d*L_ctx + c_act*B*n_l*s*d)
@@ -141,18 +145,15 @@ def _phase_cost(cfg: ModelConfig, sums: PhaseSums, hw: HardwareSpec, batch: int 
     """
     d, n_l = cfg.d, cfg.n_l
     bpe = hw.bytes_per_element
-    try:
-        s, s_ctx, ctx = float(sums.active), float(sums.active_context), float(sums.context)
-        return CostBreakdown(
-            projection_flops=batch * n_l * 8.0 * s * d**2,
-            attention_flops=batch * n_l * 4.0 * s_ctx * d,
-            ffn_flops=batch * n_l * 4.0 * cfg.alpha * s * d**2,
-            weights_read=bpe * cfg.n_params * sums.passes,
-            kv_read_write=bpe * batch * n_l * 2.0 * d * ctx,
-            activation_io=bpe * ACTIVATION_TRAFFIC_ELEMS * batch * n_l * s * d,
-        )
-    except OverflowError:  # an integer beyond the float range: infinite totals, which schedule_throughput rejects
-        return CostBreakdown(*[inf] * 6)
+    s, s_ctx, ctx = float(sums.active), float(sums.active_context), float(sums.context)
+    return CostBreakdown(
+        projection_flops=batch * n_l * 8.0 * s * d**2,
+        attention_flops=batch * n_l * 4.0 * s_ctx * d,
+        ffn_flops=batch * n_l * 4.0 * cfg.alpha * s * d**2,
+        weights_read=bpe * cfg.n_params * sums.passes,
+        kv_read_write=bpe * batch * n_l * 2.0 * d * ctx,
+        activation_io=bpe * ACTIVATION_TRAFFIC_ELEMS * batch * n_l * s * d,
+    )
 
 
 def total_cost(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:

@@ -70,19 +70,9 @@ def _cmd_analyze(args) -> int:
     print(f"flops per token: {est.flops_per_token:.6g}")
     print(f"throughput: {est.tokens_per_second:.6g} tokens/s")
     print(f"generated tokens: {est.generated_tokens}")
-    print(
-        "memory: weights={:.6g} kv={:.6g} activations={:.6g} overhead={:.6g} "
-        "total={:.6g} capacity={:.6g} headroom={:.6g} oom={}".format(
-            mem.weights_bytes,
-            mem.kv_cache_bytes,
-            mem.activation_bytes,
-            mem.overhead_bytes,
-            mem.total_bytes,
-            mem.capacity_bytes,
-            mem.headroom_bytes,
-            "true" if mem.oom else "false",
-        )
-    )
+    print(f"memory: weights={mem.weights_bytes:.6g} kv={mem.kv_cache_bytes:.6g} "
+          f"activations={mem.activation_bytes:.6g} overhead={mem.overhead_bytes:.6g} total={mem.total_bytes:.6g} "
+          f"capacity={mem.capacity_bytes:.6g} headroom={mem.headroom_bytes:.6g} oom={'true' if mem.oom else 'false'}")
 
     if args.csv:
         write_report(args.csv, csv_text([row]))
@@ -112,11 +102,9 @@ def _cmd_oracle_check(args) -> int:
     print(text)
 
     failed = [(label, r) for label, r in reports if not r.passed]
-    if failed:
-        for label, r in failed:
-            print(f"oracle check failed: {label}: {r.verdict}", file=sys.stderr)
-        return EXIT_ORACLE
-    return EXIT_OK
+    for label, r in failed:
+        print(f"oracle check failed: {label}: {r.verdict}", file=sys.stderr)
+    return EXIT_ORACLE if failed else EXIT_OK
 
 
 def _cmd_ridge(args) -> int:

@@ -8,10 +8,8 @@ rejected in strict mode and warned about in lenient mode. Every known field
 must have its JSON type: an integer field takes neither ``true`` nor ``2.0``,
 a number field takes no string and no NaN or Infinity, and a flag takes only
 ``true`` or ``false``; a violation is a ``wrong_type`` or ``non_finite_field``
-issue. An integer above ``MAX_INTEGER`` (2**53) is an ``out_of_range`` issue:
-up to that bound every closed-form sum of a schedule still fits in a float.
-A key given twice in one JSON object is a ``duplicate_field`` issue, and a
-file that is not UTF-8 an ``invalid_encoding`` issue.
+issue. A key given twice in one JSON object is a ``duplicate_field`` issue,
+and a file that is not UTF-8 an ``invalid_encoding`` issue.
 
 A ``HardwareSpec`` or ``AccelerationConfig`` validates itself when built, so
 one that breaks a rule of ``validate_hardware`` or ``validate_acceleration``
@@ -20,7 +18,9 @@ architecture and a workload's are checked by ``build_schedule``. Library
 callers meet the JSON kinds too: ``p_max``, ``b_mem``, ``capacity``, ``tpf``,
 ``alpha`` and ``N`` must be numbers (a bool is none) and ``dual_cache`` a
 bool, else a ``wrong_type`` issue; a NaN ``alpha`` or ``N`` is a
-``non_finite_field`` issue.
+``non_finite_field`` issue. For every caller an integer field above
+``MAX_INTEGER`` (2**53), or a number field given as an int of greater
+magnitude, is ``out_of_range``: no closed-form total then overflows a float.
 """
 
 from __future__ import annotations
@@ -151,15 +151,33 @@ def _wrong_type(name: str, value: Any, kind: type, issues: list) -> bool:
     return False
 
 
+# largest accepted integer; every integer up to it is exact as a float
+MAX_INTEGER = 2**53
+
+
+def _bad_integer(name: str, value: Any, low: float, issues: list) -> bool:
+    """Whether ``value`` is not an ``int`` (a bool is none) from ``low`` to ``MAX_INTEGER``; if not, its issue is appended."""
+    if type(value) is not int or value < low:
+        issues.append(("non_positive_field", f"{name} must be an integer >= {low}, got {value!r}"))
+    elif value > MAX_INTEGER:
+        issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
+    else:
+        return False
+    return True
+
+
+def _wrong_number(name: str, value: Any, issues: list) -> bool:
+    """Whether ``value`` is not a number, or is an int of magnitude above ``MAX_INTEGER``; if so, its issue is appended."""
+    return _wrong_type(name, value, float, issues) or (isinstance(value, int) and _bad_integer(name, abs(value), 0, issues))
+
+
 def validate_model_config(cfg: ModelConfig, arch: Architecture) -> ModelConfig:
     """Return ``cfg`` unchanged if every invariant holds, else raise the full issue list."""
     issues = []
     for name in ("n_l", "n_h", "n_d", "d"):
-        value = getattr(cfg, name)
-        if type(value) is not int or value < 1:
-            issues.append(("non_positive_field", f"{name} must be an integer >= 1, got {value!r}"))
+        _bad_integer(name, getattr(cfg, name), 1, issues)
     for name, value in (("alpha", cfg.alpha), ("N", cfg.n_params)):
-        if _wrong_type(name, value, float, issues) or value > 0:
+        if _wrong_number(name, value, issues) or value > 0:
             continue
         if math.isnan(value):
             issues.append(("non_finite_field", f"{name} must not be NaN"))
@@ -170,8 +188,8 @@ def validate_model_config(cfg: ModelConfig, arch: Architecture) -> ModelConfig:
     if arch is Architecture.BLOCK_DIFFUSION:
         if cfg.block_size is None:
             issues.append(("missing_block_size", "block diffusion requires a block size G >= 1"))
-        elif type(cfg.block_size) is not int or cfg.block_size < 1:
-            issues.append(("non_positive_field", f"G must be an integer >= 1, got {cfg.block_size!r}"))
+        else:
+            _bad_integer("G", cfg.block_size, 1, issues)
     if issues:
         raise ConfigValidationError(issues)
     return cfg
@@ -183,8 +201,8 @@ _VALID_WIDTHS = (1, 2, 4, 8)
 def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
     issues = []
     for name in ("p_max", "b_mem", "capacity"):
-        _wrong_type(name, getattr(hw, name), float, issues)
-    if issues:  # the range checks below need numbers
+        _wrong_number(name, getattr(hw, name), issues)
+    if issues:  # the range checks below need numbers within the bound
         raise ConfigValidationError(issues)
     for name in ("p_max", "b_mem", "capacity"):
         if getattr(hw, name) <= 0:
@@ -204,12 +222,9 @@ def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
 
 def validate_workload(wl: Workload) -> Workload:
     issues = []
-    if type(wl.batch) is not int or wl.batch < 1:
-        issues.append(("non_positive_field", f"batch must be an integer >= 1, got {wl.batch!r}"))
-    if type(wl.prompt_len) is not int or wl.prompt_len < 0:
-        issues.append(("non_positive_field", f"prompt_len must be an integer >= 0, got {wl.prompt_len!r}"))
-    if type(wl.gen_len) is not int or wl.gen_len < 1:
-        issues.append(("non_positive_field", f"gen_len must be an integer >= 1, got {wl.gen_len!r}"))
+    _bad_integer("batch", wl.batch, 1, issues)
+    _bad_integer("prompt_len", wl.prompt_len, 0, issues)
+    _bad_integer("gen_len", wl.gen_len, 1, issues)
     if issues:
         raise ConfigValidationError(issues)
     return wl
@@ -217,18 +232,17 @@ def validate_workload(wl: Workload) -> Workload:
 
 def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
     issues = []
-    _wrong_type("tpf", accel.tpf, float, issues)
+    _wrong_number("tpf", accel.tpf, issues)
     _wrong_type("dual_cache", accel.dual_cache, bool, issues)
-    if issues:  # the range checks below need a number and a flag
+    if issues:  # the range checks below need a number within the bound and a flag
         raise ConfigValidationError(issues)
     if not math.isfinite(accel.tpf):
         issues.append(("non_finite_field", f"tpf must be finite, got {accel.tpf!r}"))
     elif accel.tpf < 1.0:
         issues.append(("non_positive_field", f"tpf must be >= 1, got {accel.tpf!r}"))
-    if accel.dual_cache and (type(accel.dual_cache_block) is not int or accel.dual_cache_block < 1):
-        issues.append(("non_positive_field", f"dual_cache_block must be an integer >= 1, got {accel.dual_cache_block!r}"))
-    if type(accel.cache_refresh_interval) is not int or accel.cache_refresh_interval < 1:
-        issues.append(("non_positive_field", f"cache_refresh_interval must be an integer >= 1, got {accel.cache_refresh_interval!r}"))
+    if accel.dual_cache:
+        _bad_integer("dual_cache_block", accel.dual_cache_block, 1, issues)
+    _bad_integer("cache_refresh_interval", accel.cache_refresh_interval, 1, issues)
     if issues:
         raise ConfigValidationError(issues)
     return accel
@@ -249,15 +263,11 @@ def out_of_range(arch: Architecture, wl: Workload) -> ConfigValidationError:
 # ---------------------------------------------------------------------------
 # JSON ingestion
 
-# largest accepted integer field; every integer up to it is exact as a float
-MAX_INTEGER = 2**53
-
 def _typed_value(name: str, value: Any, kind: type, issues: list) -> Any:
     """``value`` if it is of JSON ``kind`` (a number as a finite float), else None with an issue appended."""
     if _wrong_type(name, value, kind, issues):
         return None
-    if kind is int and value > MAX_INTEGER:
-        issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
+    if kind is int and _bad_integer(name, value, -math.inf, issues):  # the bound only; the range is the validator's
         return None
     if kind is float:
         try:

@@ -12,7 +12,8 @@ Prefill passes are excluded from s_max: prompt encoding is transient and
 chunkable, while the decode loop sets the steady-state high-water mark.
 ``c_mem`` (``ACTIVATION_SCALE``) absorbs attention-score materialization and
 framework buffers; the fixed ``OVERHEAD_BYTES`` absorbs allocator slack and
-runtime state.
+runtime state. No term of a valid point (integers at most 2**53) overflows
+as it converts to a float; ``schedule_memory`` rejects an infinite total.
 """
 
 from __future__ import annotations
@@ -77,11 +78,8 @@ def schedule_memory(
 
     holds_kv = schedule.arch is not Architecture.DLM or accel.dual_cache
     activations = bpe * ACTIVATION_SCALE * cfg.n_l * schedule.decode.max_active * cfg.d * wl.batch
-    try:
-        kv = bpe * 2.0 * cfg.n_l * cfg.d * wl.total_len * wl.batch if holds_kv else 0.0
-        total = weights + kv + activations + OVERHEAD_BYTES
-    except OverflowError:  # an integer beyond the float range
-        total = math.inf
+    kv = bpe * 2.0 * cfg.n_l * cfg.d * wl.total_len * wl.batch if holds_kv else 0.0
+    total = weights + kv + activations + OVERHEAD_BYTES
     if not math.isfinite(total):
         raise out_of_range(schedule.arch, wl)
     return MemoryReport(

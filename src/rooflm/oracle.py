@@ -119,7 +119,7 @@ def _forward_values(cfg: ModelConfig, hw: HardwareSpec, batch: int) -> Callable[
 
 
 def count_forward(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batch: int = 1) -> list[OperatorCost]:
-    """Enumerate one forward pass, one entry per operator kind (see ``_forward_values``)."""
+    """Enumerate one forward pass of a built schedule, one entry per operator kind (see ``_forward_values``)."""
     return [
         OperatorCost(name, value, 0.0) if i < _FLOP_OPERATORS else OperatorCost(name, 0.0, value)
         for i, (name, value) in enumerate(zip(OP_NAMES, _forward_values(cfg, hw, batch)(step)))
@@ -296,7 +296,7 @@ def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(slope)
 
 
-def _grid(variable: str, cfg: ModelConfig, wl: Workload) -> list[int]:
+def _grid(variable: str, arch: Architecture, cfg: ModelConfig, wl: Workload) -> list[int]:
     """The values ``oracle_check`` samples ``variable`` at, or a ValueError if it cannot sample them."""
     if variable == "L":
         if wl.prompt_len + 4 * wl.gen_len > _MAX_L:
@@ -306,8 +306,8 @@ def _grid(variable: str, cfg: ModelConfig, wl: Workload) -> list[int]:
         return [wl.batch, 2 * wl.batch, 4 * wl.batch, 8 * wl.batch]
     if variable != "G":
         raise _unknown_variable(variable)
-    if cfg.block_size is None:
-        raise ValueError("variable 'G' needs a model with a block size G")
+    if arch is not Architecture.BLOCK_DIFFUSION or cfg.block_size is None:
+        raise ValueError(f"variable 'G' needs block diffusion with a block size G, got {arch.value} with G={cfg.block_size}")
     return [cfg.block_size, 2 * cfg.block_size, 4 * cfg.block_size, 8 * cfg.block_size]
 
 
@@ -323,13 +323,13 @@ def oracle_check(
     """Sweep each of ``variables`` (see ``vary``) from the given base point and compare both sources.
 
     Every variable's grid is made before any point is evaluated: an unknown
-    variable, ``G`` on a model without a block size, or an ``L`` grid past
-    the toy-scale cap is a ``ValueError``.
+    variable, ``G`` other than on block diffusion with a block size, or an
+    ``L`` grid past the toy-scale cap is a ``ValueError``.
     """
     if cfg.n_l > _MAX_NL or cfg.d > _MAX_D:
         raise ValueError(f"oracle_check is toy-scale only (n_l <= {_MAX_NL}, d <= {_MAX_D})")
 
-    grids = [(variable, _grid(variable, cfg, wl)) for variable in variables]
+    grids = [(variable, _grid(variable, arch, cfg, wl)) for variable in variables]
     checks = []
     for variable, grid in grids:
         samples: dict[str, list[PointSample]] = {metric: [] for metric in METRICS}

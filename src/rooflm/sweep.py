@@ -107,10 +107,14 @@ def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
         if not values:
             issues.append(("empty_list", f"{name} must be non-empty"))
             continue
-        if any(v <= 0 for v in values) and name != "prompt_lens":
-            issues.append(("non_positive_field", f"{name} must be positive, got {values!r}"))
-        if name == "prompt_lens" and any(v < 0 for v in values):
-            issues.append(("non_positive_field", f"{name} must be >= 0, got {values!r}"))
+        try:  # the range checks below need integers within the bound
+            json_array(values, name, int)
+        except ConfigValidationError as exc:
+            issues.extend(exc.issues)
+            continue
+        low, rule = (0, ">= 0") if name == "prompt_lens" else (1, "positive")
+        if min(values) < low:
+            issues.append(("non_positive_field", f"{name} must be {rule}, got {values!r}"))
         if any(b <= a for a, b in zip(values, values[1:])):
             issues.append(("not_increasing", f"{name} must be strictly increasing, got {values!r}"))
     if issues:
@@ -251,9 +255,7 @@ def run_sweep(
 # Emission
 
 def _fmt(value: Optional[float]) -> str:
-    if value is None:
-        return ""
-    return f"{value:.6g}"
+    return "" if value is None else f"{value:.6g}"
 
 
 def csv_text(rows: Sequence[SweepRow]) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .analytic import ScheduleCost, published_arint, published_step, total_cost
+from .analytic import ScheduleCost, published_step, total_cost
 from .config import (
     AccelerationConfig,
     Architecture,
@@ -106,14 +106,15 @@ def schedule_throughput(
         agg = cost.combined if include_prefill else cost.decode
         flops, mops = agg.flops, agg.mops
         if source is IntensitySource.PUBLISHED:
-            arint = published_arint(schedule.arch, cfg, wl)
-            fpt = flops_per_token(steps * published_step(schedule.arch, cfg, wl)[0], wl)
+            step_flops, elements = published_step(schedule.arch, cfg, wl)
+            arint = step_flops / elements  # published_arint, from the one evaluation
+            fpt = flops_per_token(steps * step_flops, wl)
         else:
             arint = flops / mops
             fpt = flops_per_token(flops, wl)
         point = attainable_performance(hw, arint)
         tps = point.attainable / fpt
-    except (OverflowError, NonPositiveIntensity):  # a total overflowed, or the intensity underflowed to 0
+    except (OverflowError, NonPositiveIntensity):  # alpha**2 in published_step or an fsum overflowed; arint underflowed to 0
         raise out_of_range(schedule.arch, wl) from None
     if not all(map(math.isfinite, (flops, mops, arint, point.attainable, fpt, tps))):
         raise out_of_range(schedule.arch, wl)

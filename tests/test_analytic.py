@@ -15,6 +15,7 @@ from rooflm.analytic import (
     total_cost,
 )
 from rooflm.config import Architecture, HardwareSpec, ModelConfig, Workload
+from rooflm.errors import ConfigValidationError
 from rooflm.schedule import StepDescriptor, build_schedule
 
 from conftest import every_pass, schedule_of
@@ -46,6 +47,12 @@ class TestPublishedIntensities:
         cfg = replace(toy_cfg, block_size=4)
         flops, elements = published_step(arch, cfg, wl(batch=3, prompt=5))
         assert published_arint(arch, cfg, wl(batch=3, prompt=5)) == flops / elements
+
+    @pytest.mark.parametrize("published", [published_step, published_arint])
+    def test_block_diffusion_needs_a_block_size(self, toy_cfg, published):
+        with pytest.raises(ConfigValidationError) as exc:
+            published(BLOCK, toy_cfg, wl())
+        assert exc.value.codes() == ("missing_block_size",)
 
     def test_ar_zero_length_is_one(self, toy_cfg):
         # L = 0 collapses numerator and denominator to N; the formula accepts

@@ -24,6 +24,7 @@ from rooflm.config import (
 )
 from rooflm.errors import ConfigValidationError
 from rooflm.presets import A800_CLASS
+from rooflm.schedule import build_schedule
 
 
 def toy_config(**overrides):
@@ -218,6 +219,68 @@ class TestIntegerFieldsRejectBool:
     def test_workload(self, name):
         with pytest.raises(ConfigValidationError) as exc:
             validate_workload(replace(Workload(1, 40, 256), **{name: True}))
+        assert exc.value.codes() == ("non_positive_field",)
+
+
+def bounded_model(name, value):
+    """A block-diffusion model with field ``name`` at ``value``; a shape field keeps d = n_h * n_d."""
+    if name == "n_h":
+        return toy_config(n_h=value, n_d=1, d=value, block_size=4)
+    if name in ("n_d", "d"):
+        return toy_config(n_h=1, n_d=value, d=value, block_size=4)
+    return toy_config(**{"block_size": 4, name: value})
+
+
+# every integer field, and every number field given as an int, with the library entry that checks it
+BOUNDED_FIELDS = {
+    **{name: lambda v, name=name: build_schedule(Architecture.BLOCK_DIFFUSION, bounded_model(name, v), Workload(1, 0, 1))
+       for name in ("n_l", "n_h", "n_d", "d", "block_size", "alpha", "n_params")},
+    **{name: lambda v, name=name: build_schedule(Architecture.AR, toy_config(), replace(Workload(1, 0, 1), **{name: v}))
+       for name in ("batch", "prompt_len", "gen_len")},
+    "dual_cache_block": lambda v: AccelerationConfig(dual_cache=True, dual_cache_block=v),
+    "cache_refresh_interval": lambda v: AccelerationConfig(cache_refresh_interval=v),
+    "tpf": lambda v: AccelerationConfig(tpf=v),
+    **{name: lambda v, name=name: replace(A800_CLASS, **{name: v}) for name in ("p_max", "b_mem", "capacity")},
+}
+
+# library ints beyond the float range, which once escaped as a bare OverflowError
+HUGE_INTS = {
+    "tpf": lambda: AccelerationConfig(tpf=10**400),
+    "capacity": lambda: HardwareSpec(1e12, 1e10, 10**400),
+    "p_max": lambda: HardwareSpec(10**400, 1, 1e9),
+    "negative_tpf": lambda: AccelerationConfig(tpf=-10**400),
+    "negative_capacity": lambda: HardwareSpec(1e12, 1e10, -10**400),
+    "negative_alpha": lambda: validate_model_config(toy_config(alpha=-10**400), Architecture.AR),
+}
+
+
+class TestIntegerBound:
+    """Library callers meet the JSON reader's bound: an integer above 2**53 is ``out_of_range``, 2**53 is not."""
+
+    @pytest.mark.parametrize("name", list(BOUNDED_FIELDS))
+    def test_above_the_bound(self, name):
+        with pytest.raises(ConfigValidationError) as exc:
+            BOUNDED_FIELDS[name](2**53 + 1)
+        assert {code for code, _ in exc.value.issues} == {"out_of_range"}
+        assert all(msg.endswith(" must be at most 2**53, got an integer of 54 bits") for _, msg in exc.value.issues)
+
+    @pytest.mark.parametrize("name", list(BOUNDED_FIELDS))
+    def test_at_the_bound(self, name):
+        BOUNDED_FIELDS[name](2**53)
+
+    @pytest.mark.parametrize("case", list(HUGE_INTS))
+    def test_int_beyond_the_float_range(self, case):
+        with pytest.raises(ConfigValidationError) as exc:
+            HUGE_INTS[case]()
+        assert exc.value.codes() == ("out_of_range",)
+
+    def test_json_outcomes_unchanged(self):
+        # a JSON number-kind int is read as a float, and a JSON integer's range is its validator's
+        with pytest.raises(ConfigValidationError) as exc:
+            hardware_from_dict({"p_max": 10**400, "b_mem": 1e10, "capacity": 1e9})
+        assert exc.value.codes() == ("non_finite_field",)
+        with pytest.raises(ConfigValidationError) as exc:
+            workload_from_dict({"batch": -10**400, "prompt_len": 0, "gen_len": 1})
         assert exc.value.codes() == ("non_positive_field",)
 
 

@@ -128,6 +128,7 @@ class TestOutOfRange:
         [
             (Architecture.AR, replace(AR_8B, n_params=1e308), Workload(1, 40, 256)),
             (Architecture.AR, replace(AR_8B, n_params=float("inf")), Workload(1, 40, 256)),
+            # the two integers below are above the 2**53 bound: validation rejects them before any footprint
             (Architecture.DLM, DLM_8B, Workload(1, 40, 10**400)),
             (Architecture.BLOCK_DIFFUSION, BLOCK_DIFFUSION_8B, Workload(10**300, 40, 256)),
         ],

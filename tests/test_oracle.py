@@ -295,15 +295,25 @@ class TestOracleCheck:
             oracle_check(Architecture.AR, cfg, Workload(1, 0, 16), variables=variables)
         assert built == []
 
+    @pytest.mark.parametrize("arch", [Architecture.AR, Architecture.DLM], ids=["AR", "DLM"])
+    def test_rejects_a_block_size_sweep_off_block_diffusion(self, monkeypatch, arch):
+        # the block size is ignored off block diffusion: a G sweep there would vary nothing
+        built = []
+        monkeypatch.setattr(oracle, "build_schedule", lambda *args: built.append(args))
+        cfg = ModelConfig(1, 1, 8, 8, 1.0, 64.0, block_size=4)
+        with pytest.raises(ValueError, match="needs block diffusion"):
+            oracle_check(arch, cfg, Workload(1, 0, 16), variables=("G",))
+        assert built == []
+
     def test_injected_bug_trips_exponent_mismatch(self, monkeypatch):
-        # drop the quadratic attention term from the intensity estimate
-        def broken_arint(arch, cfg, wl):
+        # drop the quadratic attention term from the published step estimate
+        def broken_step(arch, cfg, wl):
             seq, d = wl.total_len, cfg.d
             num = 2 * wl.batch * cfg.n_l * (2 * seq * d**2 + cfg.alpha**2 * seq * d**2)
-            return num / (cfg.n_params + wl.batch * cfg.n_l * d * seq)
+            return num, cfg.n_params + wl.batch * cfg.n_l * d * seq
 
         cfg = ModelConfig(n_l=2, n_h=1, n_d=8, d=8, alpha=1.0, n_params=128.0)
-        monkeypatch.setattr(throughput, "published_arint", broken_arint)  # where schedule_throughput reads it
+        monkeypatch.setattr(throughput, "published_step", broken_step)  # where schedule_throughput reads it
         report = oracle_check(Architecture.DLM, cfg, Workload(1, 0, 1024), variables=("L",))
         assert not report.passed
         assert report.verdict == "ExponentMismatch"

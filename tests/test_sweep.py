@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -89,6 +90,18 @@ class TestGrid:
             with pytest.raises(ConfigValidationError) as exc:
                 build()
             assert exc.value.codes() == (code,)
+
+    @pytest.mark.parametrize("fields, issue", [
+        ({"gen_lens": ("a",)}, ("wrong_type", "gen_lens[0] must be an integer, got 'a'")),
+        ({"batches": (1.5, 2)}, ("wrong_type", "batches[0] must be an integer, got 1.5")),
+        ({"prompt_lens": (0, True)}, ("wrong_type", "prompt_lens[1] must be an integer, got True")),
+        ({"gen_lens": (8, 2**53 + 1)}, ("out_of_range", "gen_lens[1] must be at most 2**53, got an integer of 54 bits")),
+    ])
+    def test_spec_checks_grid_items_before_their_range(self, fields, issue):
+        for build in (lambda: toy_spec(**fields), lambda: replace(toy_spec(), **fields)):
+            with pytest.raises(ConfigValidationError) as exc:
+                build()
+            assert exc.value.issues == (issue,)
 
     def test_sweep_does_not_recheck_its_spec(self, monkeypatch):
         spec = toy_spec()  # it validated itself when built
@@ -208,10 +221,27 @@ class TestSinglePointEvaluation:
                            AccelerationConfig(), source=IntensitySource.SCHEDULE, include_prefill=False)
         assert exc.value.codes() == ("non_positive_field",)
 
+    @pytest.mark.parametrize("include_prefill", [False, True], ids=["decode", "prefill"])
+    @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])
+    @pytest.mark.parametrize("arch", list(Architecture), ids=[a.value for a in Architecture])
+    @pytest.mark.parametrize("tpf", [1.0, 2**53], ids=["tpf1", "tpf_bound"])
+    def test_every_integer_at_the_bound_gives_a_finite_row(self, tpf, arch, source, include_prefill):
+        # the costing layers have no overflow fallback: at the bound every total converts to a finite float
+        top = 2**53
+        cfg = ModelConfig(top, 2**26, 2**27, top, top, top, block_size=top)
+        accel = AccelerationConfig(tpf=tpf, dual_cache=arch is Architecture.DLM, dual_cache_block=top,
+                                   cache_refresh_interval=top)
+        row = evaluate_point(arch, cfg, HardwareSpec(top, top, top), Workload(top, top, top), accel,
+                             source=source, include_prefill=include_prefill)
+        est = row.estimate
+        numbers = (est.flops_total, est.mops_total, est.arint, est.attainable, est.flops_per_token,
+                   est.tokens_per_second, row.memory.total_bytes)
+        assert all(map(math.isfinite, numbers)) and est.tokens_per_second > 0
+
     @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])
     @pytest.mark.parametrize("arch", list(Architecture), ids=[a.value for a in Architecture])
     def test_phase_sum_beyond_the_float_range(self, arch, source):
-        # at gen_len 10**160 the footprint fits in a float, but the decode sum of s * ctx does not
+        # gen_len 10**160 is above the 2**53 integer bound, so validation rejects it before any costing
         with pytest.raises(ConfigValidationError) as exc:
             evaluate_point(arch, DEFAULT_MODELS[arch], A800_CLASS, Workload(1, 0, 10**160), AccelerationConfig(),
                            source=source, include_prefill=False)

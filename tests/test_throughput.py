@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rooflm.analytic import length_regime
+import rooflm.analytic
+import rooflm.throughput
+from rooflm.analytic import length_regime, published_arint, published_step
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.errors import ConfigValidationError
 from rooflm.oracle import fit_exponent, vary
@@ -70,6 +72,24 @@ class TestEstimate:
         bd = estimate_throughput(Architecture.BLOCK_DIFFUSION, BLOCK_DIFFUSION_8B, A800_CLASS, wl)
         dlm = estimate_throughput(Architecture.DLM, DLM_8B, A800_CLASS, wl)
         assert ar.tokens_per_second >= bd.tokens_per_second >= dlm.tokens_per_second
+
+
+class TestPublishedSource:
+    @pytest.mark.parametrize("arch, cfg", [(Architecture.AR, AR_8B), (Architecture.DLM, DLM_8B),
+                                           (Architecture.BLOCK_DIFFUSION, BLOCK_DIFFUSION_8B)], ids=["AR", "DLM", "BD"])
+    def test_one_published_evaluation_per_estimate(self, monkeypatch, arch, cfg):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return published_step(*args)
+
+        for module in (rooflm.analytic, rooflm.throughput):  # published_arint reads it in analytic
+            monkeypatch.setattr(module, "published_step", counting)
+        wl = Workload(4, 40, 256)
+        est = estimate_throughput(arch, cfg, A800_CLASS, wl, source=IntensitySource.PUBLISHED)
+        assert len(calls) == 1
+        assert est.arint == published_arint(arch, cfg, wl)
 
 
 class TestParallelDecodingIdentity:
@@ -189,6 +209,7 @@ class TestOutOfRange:
 
     @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])
     def test_integer_beyond_the_float_range(self, source):
+        # batch 10**400 is above the 2**53 integer bound: validation rejects it before any costing
         with pytest.raises(ConfigValidationError) as exc:
             estimate_throughput(Architecture.AR, AR_8B, A800_CLASS, Workload(10**400, 40, 256), source=source)
         assert exc.value.codes() == ("out_of_range",)
