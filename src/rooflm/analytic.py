@@ -99,6 +99,7 @@ def published_step(arch: Architecture, cfg: ModelConfig, wl: Workload) -> tuple[
     over N + B*n_l*d*L; block diffusion: 2*B*n_l*(2*G*d^2 + alpha^2*G*d^2 + L*G*d)
     over N + 2*B*n_l*d*L + B*n_l*d*G.
     """
+    validate_model_config(cfg, arch)  # a name is no Architecture, and block diffusion needs G
     b, d, seq, n = wl.batch, cfg.d, wl.total_len, cfg.n_params
     if arch is Architecture.AR:
         return float(b * n), n + b * cfg.n_l * cfg.n_h * cfg.n_d * seq
@@ -106,8 +107,6 @@ def published_step(arch: Architecture, cfg: ModelConfig, wl: Workload) -> tuple[
         return (2.0 * b * cfg.n_l * (2.0 * seq * d**2 + cfg.alpha**2 * seq * d**2 + seq**2 * d),
                 n + b * cfg.n_l * d * seq)
     g = cfg.block_size
-    if g is None:
-        validate_model_config(cfg, arch)  # raises its missing_block_size issue
     return (2.0 * b * cfg.n_l * (2.0 * g * d**2 + cfg.alpha**2 * g * d**2 + seq * g * d),
             n + 2.0 * b * cfg.n_l * d * seq + b * cfg.n_l * d * g)
 

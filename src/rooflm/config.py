@@ -1,26 +1,25 @@
 """Model, hardware, and workload configuration types: validation and JSON ingestion.
 
-JSON documents use exactly the short field names of the underlying notation
-(``n_l``, ``n_h``, ``n_d``, ``d``, ``alpha``, ``N``, ``G`` for models;
-``p_max``, ``b_mem``, ``capacity``, ``bytes_per_element`` for hardware;
-``batch``, ``prompt_len``, ``gen_len`` for workloads). Unknown fields are
-rejected in strict mode and warned about in lenient mode. Every known field
-must have its JSON type: an integer field takes neither ``true`` nor ``2.0``,
-a number field takes no string and no NaN or Infinity, and a flag takes only
-``true`` or ``false``; a violation is a ``wrong_type`` or ``non_finite_field``
-issue. A key given twice in one JSON object is a ``duplicate_field`` issue,
-and a file that is not UTF-8 an ``invalid_encoding`` issue.
+Each config type validates itself when built (``dataclasses.replace``
+included), under one rule per field for every caller, so an invalid one
+cannot exist and no caller re-checks it. A field's kind, bound and
+finiteness are checked whenever it is given: an integer field takes an
+``int``, a number field an ``int`` or ``float``, a flag a bool (a bool is no
+integer or number), else ``wrong_type``; an integer above ``MAX_INTEGER``
+(2**53), or an ``int`` of greater magnitude in a number field, is
+``out_of_range``, so no closed-form total overflows a float; a NaN or
+infinite number is ``non_finite_field``. These come before any range, which
+is checked only where its field is used: ``dual_cache_block >= 1`` with dual
+cache on, ``G >= 1`` for block diffusion (``validate_model_config``, the
+rule that pairs a model with an architecture).
 
-A ``HardwareSpec`` or ``AccelerationConfig`` validates itself when built, so
-one that breaks a rule of ``validate_hardware`` or ``validate_acceleration``
-cannot exist and no caller re-checks it. A model's rules depend on its
-architecture and a workload's are checked by ``build_schedule``. Library
-callers meet the JSON kinds too: ``p_max``, ``b_mem``, ``capacity``, ``tpf``,
-``alpha`` and ``N`` must be numbers (a bool is none) and ``dual_cache`` a
-bool, else a ``wrong_type`` issue; a NaN ``alpha`` or ``N`` is a
-``non_finite_field`` issue. For every caller an integer field above
-``MAX_INTEGER`` (2**53), or a number field given as an int of greater
-magnitude, is ``out_of_range``: no closed-form total then overflows a float.
+JSON documents use the short field names of the notation (``N`` and ``G``
+for ``n_params`` and ``block_size``). The reader checks only a document's
+shape and hands its fields to the constructors: an unknown field (rejected,
+or warned about in lenient mode), a missing one, a key given twice
+(``duplicate_field``), a file that is not UTF-8 (``invalid_encoding``), and a
+null or a string, array or object field of another kind (``wrong_type``). It
+reads a JSON integer in a number field as a float, ``inf`` past the float range.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigValidationError
 
@@ -54,10 +53,11 @@ def architecture_from_name(name: str) -> Architecture:
 class ModelConfig:
     """Transformer shape shared by all three architectures.
 
-    ``block_size`` (JSON key ``G``) is only meaningful for block diffusion and
-    is ignored elsewhere. ``n_params`` (JSON key ``N``) is the total parameter
-    count used for weight-traffic accounting; when absent from a JSON document
-    it is backfilled with :func:`derive_param_count`.
+    ``block_size`` (JSON key ``G``) is only used, and needed, by block
+    diffusion (see ``validate_model_config``). ``n_params`` (JSON key ``N``)
+    is the total parameter count used for weight-traffic accounting; when
+    absent from a JSON document it is backfilled with
+    :func:`derive_param_count`. Building one that breaks a rule raises its issues.
     """
 
     n_l: int          # transformer layers
@@ -67,6 +67,23 @@ class ModelConfig:
     alpha: float      # FFN expansion ratio
     n_params: float   # total parameter count
     block_size: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        given_g = () if self.block_size is None else (("G", self.block_size, int),)
+        _check_kinds([(name, getattr(self, name), int) for name in _SHAPE]
+                     + [("alpha", self.alpha, float), ("N", self.n_params, float), *given_g])
+        issues = []
+        for name in _SHAPE:
+            _below(name, getattr(self, name), 1, issues)
+        for name, value in (("alpha", self.alpha), ("N", self.n_params)):
+            if value <= 0:
+                issues.append(("non_positive_field", f"{name} must be > 0, got {value!r}"))
+        if self.d != self.n_h * self.n_d:
+            issues.append(("dimension_mismatch", f"d must equal n_h*n_d: {self.d} != {self.n_h}*{self.n_d}"))
+        _raise(issues)
+
+
+_SHAPE = ("n_l", "n_h", "n_d", "d")
 
 
 @dataclass(frozen=True)
@@ -84,9 +101,14 @@ class HardwareSpec:
 
 @dataclass(frozen=True)
 class Workload:
+    """One generation request; building one that breaks a rule of ``validate_workload`` raises its issues."""
+
     batch: int
     prompt_len: int
     gen_len: int
+
+    def __post_init__(self) -> None:
+        validate_workload(self)
 
     @property
     def total_len(self) -> int:
@@ -143,10 +165,10 @@ _KINDS = {
 
 
 def _wrong_type(name: str, value: Any, kind: type, issues: list) -> bool:
-    """Whether ``value`` is not of JSON ``kind``; if it is not, a ``wrong_type`` issue is appended."""
-    types, expected = _KINDS[kind]
+    """Whether ``value`` is not of ``kind`` (a JSON kind above, or any class); if not, a ``wrong_type`` issue is appended."""
+    types, expected = _KINDS.get(kind, (kind, None))
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        issues.append(("wrong_type", f"{name} must be {expected}, got {value!r}"))
+        issues.append(("wrong_type", f"{name} must be {expected or f'of type {kind.__name__}'}, got {value!r}"))
         return True
     return False
 
@@ -155,43 +177,48 @@ def _wrong_type(name: str, value: Any, kind: type, issues: list) -> bool:
 MAX_INTEGER = 2**53
 
 
-def _bad_integer(name: str, value: Any, low: float, issues: list) -> bool:
-    """Whether ``value`` is not an ``int`` (a bool is none) from ``low`` to ``MAX_INTEGER``; if not, its issue is appended."""
-    if type(value) is not int or value < low:
+def _check_kinds(fields: Iterable[tuple[str, Any, type]]) -> None:
+    """Raise the kind, bound and finiteness issues of the ``(name, value, kind)`` fields (see the module docstring)."""
+    issues: list = []
+    for name, value, kind in fields:
+        if type(value) is kind and (kind is not int or value <= MAX_INTEGER) and (kind is not float or math.isfinite(value)):
+            continue  # the common case, passed without building a message
+        if _wrong_type(name, value, kind, issues):
+            continue
+        if kind is int and value > MAX_INTEGER or kind is float and isinstance(value, int) and abs(value) > MAX_INTEGER:
+            issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
+        elif kind is float and not math.isfinite(value):
+            issues.append(("non_finite_field", f"{name} must be {_KINDS[float][1]}, got {value!r}"))
+    _raise(issues)
+
+
+def _below(name: str, value: int, low: int, issues: list) -> None:
+    if value < low:
         issues.append(("non_positive_field", f"{name} must be an integer >= {low}, got {value!r}"))
-    elif value > MAX_INTEGER:
-        issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
-    else:
-        return False
-    return True
 
 
-def _wrong_number(name: str, value: Any, issues: list) -> bool:
-    """Whether ``value`` is not a number, or is an int of magnitude above ``MAX_INTEGER``; if so, its issue is appended."""
-    return _wrong_type(name, value, float, issues) or (isinstance(value, int) and _bad_integer(name, abs(value), 0, issues))
+def _raise(issues: list) -> None:
+    if issues:
+        raise ConfigValidationError(issues)
+
+
+def _pairing_issues(arch: Any, block_size: Any) -> list:
+    issues: list = []
+    if not _wrong_type("arch", arch, Architecture, issues) and arch is Architecture.BLOCK_DIFFUSION:
+        if block_size is None:
+            issues.append(("missing_block_size", "block diffusion requires a block size G >= 1"))
+        elif type(block_size) is int:  # a G of another kind is its model's issue
+            _below("G", block_size, 1, issues)
+    return issues
 
 
 def validate_model_config(cfg: ModelConfig, arch: Architecture) -> ModelConfig:
-    """Return ``cfg`` unchanged if every invariant holds, else raise the full issue list."""
-    issues = []
-    for name in ("n_l", "n_h", "n_d", "d"):
-        _bad_integer(name, getattr(cfg, name), 1, issues)
-    for name, value in (("alpha", cfg.alpha), ("N", cfg.n_params)):
-        if _wrong_number(name, value, issues) or value > 0:
-            continue
-        if math.isnan(value):
-            issues.append(("non_finite_field", f"{name} must not be NaN"))
-        else:
-            issues.append(("non_positive_field", f"{name} must be > 0, got {value!r}"))
-    if isinstance(cfg.n_h, int) and isinstance(cfg.n_d, int) and cfg.d != cfg.n_h * cfg.n_d:
-        issues.append(("dimension_mismatch", f"d must equal n_h*n_d: {cfg.d} != {cfg.n_h}*{cfg.n_d}"))
-    if arch is Architecture.BLOCK_DIFFUSION:
-        if cfg.block_size is None:
-            issues.append(("missing_block_size", "block diffusion requires a block size G >= 1"))
-        else:
-            _bad_integer("G", cfg.block_size, 1, issues)
-    if issues:
-        raise ConfigValidationError(issues)
+    """Return ``cfg``, which checked itself when built, if it can run as ``arch``, else raise the issues of the pairing.
+
+    ``arch`` must be an ``Architecture`` (a name such as ``"AR"`` is ``wrong_type``), and
+    block diffusion needs a block size ``G >= 1`` (``missing_block_size``, ``non_positive_field``).
+    """
+    _raise(_pairing_issues(arch, cfg.block_size))
     return cfg
 
 
@@ -199,52 +226,40 @@ _VALID_WIDTHS = (1, 2, 4, 8)
 
 
 def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
+    _check_kinds([(name, getattr(hw, name), float) for name in ("p_max", "b_mem", "capacity")]
+                 + [("bytes_per_element", hw.bytes_per_element, int)])
     issues = []
-    for name in ("p_max", "b_mem", "capacity"):
-        _wrong_number(name, getattr(hw, name), issues)
-    if issues:  # the range checks below need numbers within the bound
-        raise ConfigValidationError(issues)
     for name in ("p_max", "b_mem", "capacity"):
         if getattr(hw, name) <= 0:
             issues.append(("non_positive_field", f"{name} must be > 0, got {getattr(hw, name)!r}"))
-    # an infinite or NaN capacity makes every headroom non-finite; p_max and b_mem are held finite by the ridge check
-    if not math.isfinite(hw.capacity):
-        issues.append(("non_finite_field", f"capacity must be finite, got {hw.capacity!r}"))
-    if type(hw.bytes_per_element) is not int or hw.bytes_per_element not in _VALID_WIDTHS:
+    if hw.bytes_per_element not in _VALID_WIDTHS:
         issues.append(("non_positive_field", f"bytes_per_element must be one of {_VALID_WIDTHS}, got {hw.bytes_per_element!r}"))
-    # the ridge point p_max / b_mem must be finite and positive; a NaN field fails this too
-    if not (hw.p_max <= 0 or hw.b_mem <= 0 or 0 < hw.p_max / hw.b_mem < math.inf):
+    # the ridge point p_max / b_mem must be a finite positive float
+    if hw.p_max > 0 and hw.b_mem > 0 and not 0 < hw.p_max / hw.b_mem < math.inf:
         issues.append(("out_of_range", f"ridge point p_max / b_mem = {hw.p_max!r} / {hw.b_mem!r} is beyond the float range"))
-    if issues:
-        raise ConfigValidationError(issues)
+    _raise(issues)
     return hw
 
 
 def validate_workload(wl: Workload) -> Workload:
-    issues = []
-    _bad_integer("batch", wl.batch, 1, issues)
-    _bad_integer("prompt_len", wl.prompt_len, 0, issues)
-    _bad_integer("gen_len", wl.gen_len, 1, issues)
-    if issues:
-        raise ConfigValidationError(issues)
+    _check_kinds((("batch", wl.batch, int), ("prompt_len", wl.prompt_len, int), ("gen_len", wl.gen_len, int)))
+    issues: list = []
+    for name, low in (("batch", 1), ("prompt_len", 0), ("gen_len", 1)):
+        _below(name, getattr(wl, name), low, issues)
+    _raise(issues)
     return wl
 
 
 def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
-    issues = []
-    _wrong_number("tpf", accel.tpf, issues)
-    _wrong_type("dual_cache", accel.dual_cache, bool, issues)
-    if issues:  # the range checks below need a number within the bound and a flag
-        raise ConfigValidationError(issues)
-    if not math.isfinite(accel.tpf):
-        issues.append(("non_finite_field", f"tpf must be finite, got {accel.tpf!r}"))
-    elif accel.tpf < 1.0:
+    _check_kinds([("tpf", accel.tpf, float), ("dual_cache", accel.dual_cache, bool)]
+                 + [(name, getattr(accel, name), int) for name in ("dual_cache_block", "cache_refresh_interval")])
+    issues: list = []
+    if accel.tpf < 1.0:
         issues.append(("non_positive_field", f"tpf must be >= 1, got {accel.tpf!r}"))
     if accel.dual_cache:
-        _bad_integer("dual_cache_block", accel.dual_cache_block, 1, issues)
-    _bad_integer("cache_refresh_interval", accel.cache_refresh_interval, 1, issues)
-    if issues:
-        raise ConfigValidationError(issues)
+        _below("dual_cache_block", accel.dual_cache_block, 1, issues)
+    _below("cache_refresh_interval", accel.cache_refresh_interval, 1, issues)
+    _raise(issues)
     return accel
 
 
@@ -264,19 +279,17 @@ def out_of_range(arch: Architecture, wl: Workload) -> ConfigValidationError:
 # JSON ingestion
 
 def _typed_value(name: str, value: Any, kind: type, issues: list) -> Any:
-    """``value`` if it is of JSON ``kind`` (a number as a finite float), else None with an issue appended."""
-    if _wrong_type(name, value, kind, issues):
+    """``value`` as read for a field of JSON ``kind``, or None with a ``wrong_type`` issue appended.
+
+    No field is null (a library ``None`` means absent), and a string, array or object field is one.
+    """
+    if (value is None or kind in (str, list, dict)) and _wrong_type(name, value, kind, issues):
         return None
-    if kind is int and _bad_integer(name, value, -math.inf, issues):  # the bound only; the range is the validator's
-        return None
-    if kind is float:
+    if kind is float and type(value) is int:
         try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            issues.append(("non_finite_field", f"{name} must be {_KINDS[float][1]}, got {value!r}"))
-            return None
+            return float(value)
+        except OverflowError:
+            return math.inf
     return value
 
 
@@ -284,22 +297,20 @@ def json_object(data: Any, what: str) -> Mapping[str, Any]:
     """``data`` if it is a JSON object, else a ``wrong_type`` error naming ``what``."""
     issues: list = []
     _typed_value(what, data, dict, issues)
-    if issues:
-        raise ConfigValidationError(issues)
+    _raise(issues)
     return data
 
 
 def json_array(values: Sequence, name: str, kind: type) -> tuple:
-    """The array ``values`` of field ``name`` as a tuple, if its items are all of JSON ``kind``."""
+    """The array ``values`` of field ``name`` as a tuple, each item read as one of JSON ``kind``."""
     issues: list = []
     items = tuple(_typed_value(f"{name}[{i}]", v, kind, issues) for i, v in enumerate(values))
-    if issues:
-        raise ConfigValidationError(issues)
+    _raise(issues)
     return items
 
 
 def read_fields(data: Any, kinds: Mapping[str, type], required: tuple[str, ...], what: str, strict: bool) -> dict[str, Any]:
-    """The fields of the JSON document ``what`` (e.g. ``"model config"``), each checked against its kind."""
+    """The fields of the JSON document ``what`` (e.g. ``"model config"``), each read as its kind."""
     data = json_object(data, what)
     unknown = sorted(set(data) - set(kinds))
     if unknown and strict:
@@ -315,8 +326,7 @@ def read_fields(data: Any, kinds: Mapping[str, type], required: tuple[str, ...],
         )
     issues: list = []
     fields = {k: _typed_value(k, data[k], kind, issues) for k, kind in kinds.items() if k in data}
-    if issues:
-        raise ConfigValidationError(issues)
+    _raise(issues)
     return fields
 
 
@@ -324,20 +334,20 @@ _MODEL_FIELDS = {"arch": str, "n_l": int, "n_h": int, "n_d": int, "d": int, "alp
 
 
 def model_config_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Architecture, ModelConfig]:
+    """The architecture and model of a JSON model document; a missing ``N`` is derived from the shape."""
     f = read_fields(data, _MODEL_FIELDS, ("arch", "n_l", "n_h", "n_d", "d", "alpha"), "model config", strict)
     arch = architecture_from_name(f["arch"])
-    cfg = ModelConfig(
-        n_l=f["n_l"],
-        n_h=f["n_h"],
-        n_d=f["n_d"],
-        d=f["d"],
-        alpha=f["alpha"],
-        n_params=f.get("N", 0.0),
-        block_size=f.get("G"),
-    )
+    try:  # a valid N holds the place of a missing one until the shape it is derived from is valid
+        cfg = ModelConfig(*(f[name] for name in _SHAPE), f["alpha"], f.get("N", 1.0), f.get("G"))
+    except ConfigValidationError as exc:  # the model's issues and its pairing's come in one list
+        raise ConfigValidationError(exc.issues + tuple(_pairing_issues(arch, f.get("G")))) from None
+    validate_model_config(cfg, arch)
     if "N" not in f:
-        cfg = replace(cfg, n_params=derive_param_count(cfg))
-    return arch, validate_model_config(cfg, arch)
+        n_params = derive_param_count(cfg)
+        if not math.isfinite(n_params):
+            raise ConfigValidationError([("out_of_range", "the parameter count derived from the shape is beyond the float range")])
+        cfg = replace(cfg, n_params=n_params)
+    return arch, cfg
 
 
 _HARDWARE_FIELDS = {"p_max": float, "b_mem": float, "capacity": float, "bytes_per_element": int}
@@ -358,8 +368,7 @@ def acceleration_from_dict(data: Mapping[str, Any], strict: bool = True) -> Acce
 def workload_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Workload, AccelerationConfig]:
     f = read_fields(data, _WORKLOAD_FIELDS, ("batch", "prompt_len", "gen_len"), "workload config", strict)
     wl = Workload(batch=f["batch"], prompt_len=f["prompt_len"], gen_len=f["gen_len"])
-    accel = acceleration_from_dict(f["accel"], strict) if "accel" in f else NO_ACCELERATION
-    return validate_workload(wl), accel
+    return wl, acceleration_from_dict(f["accel"], strict) if "accel" in f else NO_ACCELERATION
 
 
 def _unique_fields(pairs: list, path: str | Path) -> dict:

@@ -227,8 +227,7 @@ class OracleReport:
                 f"  exponent analytic={c.exponent_analytic:.4f} oracle={c.exponent_oracle:.4f} "
                 f"drift={c.ratio_drift:.2%}"
             )
-        lines.append("")
-        lines.append(f"overall: {self.verdict}")
+        lines += ["", f"overall: {self.verdict}"]
         return "\n".join(lines) + "\n"
 
     def csv_rows(self) -> list[tuple[str, ...]]:
@@ -241,13 +240,8 @@ class OracleReport:
         ]
 
 
-def _metric_pairs(
-    arch: Architecture,
-    cfg: ModelConfig,
-    wl: Workload,
-    accel: AccelerationConfig,
-    hw: HardwareSpec,
-) -> dict[str, tuple[float, float]]:
+def _metric_pairs(arch: Architecture, cfg: ModelConfig, wl: Workload, accel: AccelerationConfig,
+                  hw: HardwareSpec) -> dict[str, tuple[float, float]]:
     """(closed-form value, enumerated value) per metric for one grid point.
 
     Both sides are ``schedule_throughput``'s decode-phase division: the
@@ -261,13 +255,9 @@ def _metric_pairs(
     orc = schedule_throughput(
         schedule, count_schedule(schedule, cfg, hw), cfg, hw, wl, source=IntensitySource.SCHEDULE, include_prefill=False
     )
-    return {
-        "flops_total": (ana.flops_total, orc.flops_total),
-        "mops_total": (ana.mops_total, orc.mops_total),
-        "flops_per_token": (ana.flops_per_token, orc.flops_per_token),
-        "arint": (ana.arint, orc.arint),
-        "throughput": (ana.tokens_per_second, orc.tokens_per_second),
-    }
+    # each metric is the ThroughputEstimate field of its name, but throughput is tokens_per_second
+    fields = ("flops_total", "mops_total", "flops_per_token", "arint", "tokens_per_second")
+    return {metric: (getattr(ana, name), getattr(orc, name)) for metric, name in zip(METRICS, fields)}
 
 
 def vary(variable: str, cfg: ModelConfig, wl: Workload, value: int) -> tuple[ModelConfig, Workload]:
@@ -322,12 +312,14 @@ def oracle_check(
 ) -> OracleReport:
     """Sweep each of ``variables`` (see ``vary``) from the given base point and compare both sources.
 
-    Every variable's grid is made before any point is evaluated: an unknown
-    variable, ``G`` other than on block diffusion with a block size, or an
-    ``L`` grid past the toy-scale cap is a ``ValueError``.
+    Every variable's grid is made before any point is evaluated: an empty or
+    repeated list, an unknown variable, ``G`` other than on block diffusion
+    with a block size, or an ``L`` grid past the toy-scale cap is a ``ValueError``.
     """
     if cfg.n_l > _MAX_NL or cfg.d > _MAX_D:
         raise ValueError(f"oracle_check is toy-scale only (n_l <= {_MAX_NL}, d <= {_MAX_D})")
+    if not variables or len(set(variables)) < len(variables):
+        raise ValueError(f"variables must name at least one variable, each once, got {tuple(variables)!r}")
 
     grids = [(variable, _grid(variable, arch, cfg, wl)) for variable in variables]
     checks = []
@@ -345,12 +337,8 @@ def oracle_check(
             ratios = [p.ratio for p in pts]
             mean = fsum(ratios) / len(ratios)
             drift = max(abs(r - mean) for r in ratios) / mean
-            if abs(exp_a - exp_o) > EXPONENT_TOLERANCE:
-                verdict = "ExponentMismatch"
-            elif drift > RATIO_TOLERANCE:
-                verdict = "ConstantDrift"
-            else:
-                verdict = "PASS"
+            verdict = ("ExponentMismatch" if abs(exp_a - exp_o) > EXPONENT_TOLERANCE
+                       else "ConstantDrift" if drift > RATIO_TOLERANCE else "PASS")
             checks.append(TrendCheck(metric, variable, tuple(pts), exp_a, exp_o, drift, verdict))
     return OracleReport(arch=arch, checks=tuple(checks))
 

@@ -39,7 +39,6 @@ from .config import (
     NO_ACCELERATION,
     Workload,
     validate_model_config,
-    validate_workload,
 )
 from .errors import ConfigValidationError
 
@@ -246,13 +245,13 @@ def build_schedule(
 ) -> DecodeSchedule:
     """Deterministic forward-pass schedule for one generation request, in O(1).
 
-    Dual cache is a DLM acceleration; asked of another architecture, which
-    would ignore it, it is an ``unsupported_acceleration`` error.
+    Its inputs checked themselves when built; ``validate_model_config`` pairs
+    the model with ``arch``. Dual cache is a DLM acceleration; asked of another
+    architecture, which would ignore it, it is an ``unsupported_acceleration`` error.
     """
     validate_model_config(cfg, arch)
     if accel.dual_cache and arch is not Architecture.DLM:
         raise ConfigValidationError([("unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}")])
-    validate_workload(wl)
 
     if arch is Architecture.AR:
         decode, runs = _ar_sums(wl, accel.tpf), partial(_ar_runs, wl, accel.tpf)

@@ -27,6 +27,7 @@ from .config import (
     ModelConfig,
     NO_ACCELERATION,
     Workload,
+    _check_kinds,
     acceleration_from_dict,
     architecture_from_name,
     hardware_from_dict,
@@ -95,7 +96,20 @@ class SweepSpec:
         return self.accel.get(arch, NO_ACCELERATION)
 
 
+# each list or mapping of a spec and the kind of its items or values
+_LISTS = {"architectures": Architecture, "gen_lens": int, "batches": int, "prompt_lens": int}
+_MAPPINGS = {"accel": AccelerationConfig, "models": ModelConfig}
+
+
 def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
+    """Return ``spec`` if every rule holds, else raise its issues; the kinds of its parts come first."""
+    _check_kinds([(name, getattr(spec, name), list) for name in _LISTS]
+                 + [(name, getattr(spec, name), dict) for name in _MAPPINGS] + [("hardware", spec.hardware, HardwareSpec)])
+    items = [(f"{name}[{i}]", value, kind) for name, kind in _LISTS.items() for i, value in enumerate(getattr(spec, name))]
+    for name, kind in _MAPPINGS.items():
+        for arch, value in getattr(spec, name).items():
+            items += [(f"{name} key", arch, Architecture), (f"{name}[{getattr(arch, 'value', arch)!r}]", value, kind)]
+    _check_kinds(items)
     issues = []
     if not spec.architectures:
         issues.append(("empty_list", "architectures must be non-empty"))
@@ -106,11 +120,6 @@ def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
         values = getattr(spec, name)
         if not values:
             issues.append(("empty_list", f"{name} must be non-empty"))
-            continue
-        try:  # the range checks below need integers within the bound
-            json_array(values, name, int)
-        except ConfigValidationError as exc:
-            issues.extend(exc.issues)
             continue
         low, rule = (0, ">= 0") if name == "prompt_lens" else (1, "positive")
         if min(values) < low:
@@ -124,8 +133,7 @@ def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-_SPEC_FIELDS = {"architectures": list, "gen_lens": list, "batches": list, "prompt_lens": list,
-                "accel": dict, "models": dict, "hardware": dict}
+_SPEC_FIELDS = {**dict.fromkeys(_LISTS, list), **dict.fromkeys(_MAPPINGS, dict), "hardware": dict}
 
 
 def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: bool = False) -> SweepSpec:
@@ -139,13 +147,10 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     every other rule is checked by the ``SweepSpec`` as it is built.
     """
     data = read_fields(data, _SPEC_FIELDS, (), "sweep spec", strict)
-    kwargs = {}
+    kwargs = {name: tuple(data[name]) for name in ("gen_lens", "batches", "prompt_lens") if name in data}
     if "architectures" in data:
         names = json_array(data["architectures"], "architectures", str)
         kwargs["architectures"] = tuple(map(architecture_from_name, names))
-    for name in ("gen_lens", "batches", "prompt_lens"):
-        if name in data:
-            kwargs[name] = json_array(data[name], name, int)
     if "models" in data:
         models = {}
         for arch_name, doc in data["models"].items():

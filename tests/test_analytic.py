@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,11 +55,22 @@ class TestPublishedIntensities:
             published(BLOCK, toy_cfg, wl())
         assert exc.value.codes() == ("missing_block_size",)
 
+    @pytest.mark.parametrize("published", [published_step, published_arint])
+    def test_architecture_given_by_name(self, published):
+        # "AR" is no Architecture: once it fell through to the block-diffusion estimate
+        cfg = ModelConfig(32, 32, 128, 4096, 3.5, 8e9, block_size=32)
+        with pytest.raises(ConfigValidationError) as exc:
+            published("AR", cfg, Workload(1, 0, 16))
+        assert exc.value.issues == (("wrong_type", "arch must be of type Architecture, got 'AR'"),)
+
     def test_ar_zero_length_is_one(self, toy_cfg):
-        # L = 0 collapses numerator and denominator to N; the formula accepts
-        # the degenerate workload even though scheduling would reject it
-        assert published_arint(AR, toy_cfg, Workload(1, 0, 0)) == 1.0
-        assert published_arint(AR, replace(toy_cfg, n_params=42.0), Workload(1, 0, 0)) == 1.0
+        # L = 0 collapses numerator and denominator to N; no Workload has L = 0
+        # (gen_len >= 1), so the formula is evaluated at a stand-in with its two fields
+        with pytest.raises(ConfigValidationError):
+            Workload(1, 0, 0)
+        degenerate = SimpleNamespace(batch=1, total_len=0)
+        assert published_arint(AR, toy_cfg, degenerate) == 1.0
+        assert published_arint(AR, replace(toy_cfg, n_params=42.0), degenerate) == 1.0
 
     def test_dlm_toy(self, toy_cfg):
         assert published_arint(DLM, toy_cfg, wl()) == pytest.approx(81920 / 1256, rel=1e-12)

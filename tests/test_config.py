@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from rooflm.config import (
+    NO_ACCELERATION,
     AccelerationConfig,
     Architecture,
     HardwareSpec,
@@ -33,22 +34,51 @@ def toy_config(**overrides):
     return ModelConfig(**base)
 
 
-# an alpha or N that is not a number, or is NaN, and the code of the rule it breaks
-INVALID_MODEL_NUMBERS = {
-    "string_alpha": ({"alpha": "3.5"}, "wrong_type"),
-    "bool_n": ({"n_params": True}, "wrong_type"),
-    "nan_alpha": ({"alpha": math.nan}, "non_finite_field"),
-    "nan_n": ({"n_params": math.nan}, "non_finite_field"),
+TOY_MODEL_DOC = {"arch": "AR", "n_l": 2, "n_h": 2, "n_d": 4, "d": 8, "alpha": 4.0, "N": 1000.0}
+
+
+def library_model(arch, n_l, n_h, n_d, d, alpha, N, G=None):
+    """What ``model_config_from_dict`` returns for a document with these fields, built through the library."""
+    return validate_model_config(ModelConfig(n_l, n_h, n_d, d, alpha, N, G), architecture_from_name(arch))
+
+
+# a bad integer of any integer field, and the code of the rule it breaks
+BAD_INTEGERS = {"bool": (True, "wrong_type"), "float": (2.0, "wrong_type"), "huge": (2**53 + 1, "out_of_range")}
+
+# one bad scalar of a model field in each row (the document is otherwise TOY_MODEL_DOC), and the codes it gets;
+# G is checked for its kind and bound whatever the architecture, and for its range on block diffusion only
+INVALID_MODEL = {
+    **{f"{bad}_{name}": ({name: value}, (code,)) for name in ("n_l", "n_h", "n_d", "d", "G")
+       for bad, (value, code) in BAD_INTEGERS.items()},
+    "zero_n_l": ({"n_l": 0}, ("non_positive_field",)),
+    "zero_n_h": ({"n_h": 0}, ("non_positive_field", "dimension_mismatch")),
+    "zero_n_d": ({"n_d": 0}, ("non_positive_field", "dimension_mismatch")),
+    "zero_d": ({"d": 0}, ("non_positive_field", "dimension_mismatch")),
+    "fractional_g": ({"G": 2.5}, ("wrong_type",)),
+    "zero_g_block_diffusion": ({"arch": "BlockDiffusion", "G": 0}, ("non_positive_field",)),
+    "string_alpha": ({"alpha": "3.5"}, ("wrong_type",)),
+    "bool_alpha": ({"alpha": True}, ("wrong_type",)),
+    "nan_alpha": ({"alpha": math.nan}, ("non_finite_field",)),
+    "infinite_alpha": ({"alpha": math.inf}, ("non_finite_field",)),
+    "zero_alpha": ({"alpha": 0.0}, ("non_positive_field",)),
+    "string_n": ({"N": "1000"}, ("wrong_type",)),
+    "bool_n": ({"N": True}, ("wrong_type",)),
+    "nan_n": ({"N": math.nan}, ("non_finite_field",)),
+    "infinite_n": ({"N": math.inf}, ("non_finite_field",)),
+    "negative_n": ({"N": -1.0}, ("non_positive_field",)),
 }
 
 
 class TestModelValidation:
-    @pytest.mark.parametrize("case", list(INVALID_MODEL_NUMBERS))
-    def test_model_number_rule(self, case):
-        fields, code = INVALID_MODEL_NUMBERS[case]
-        with pytest.raises(ConfigValidationError) as exc:
-            validate_model_config(toy_config(**fields), Architecture.AR)
-        assert exc.value.codes() == (code,)
+    @pytest.mark.parametrize("case", list(INVALID_MODEL))
+    def test_model_rule(self, case):
+        # a JSON document and a library caller get the same issues
+        fields, codes = INVALID_MODEL[case]
+        doc = {**TOY_MODEL_DOC, **fields}
+        for build in (lambda: model_config_from_dict(doc), lambda: library_model(**doc)):
+            with pytest.raises(ConfigValidationError) as exc:
+                build()
+            assert exc.value.codes() == codes
 
     def test_valid_config_returned_unchanged(self):
         cfg = toy_config()
@@ -68,24 +98,62 @@ class TestModelValidation:
         cfg = toy_config(block_size=4)
         validate_model_config(cfg, Architecture.AR)
         validate_model_config(cfg, Architecture.DLM)
+        for arch in ("AR", "DLM"):  # its range is unchecked where it is unused
+            assert model_config_from_dict({**TOY_MODEL_DOC, "arch": arch, "G": 0})[1] == library_model(
+                **{**TOY_MODEL_DOC, "arch": arch, "G": 0})
 
     def test_errors_aggregate(self):
+        # a document's model issues and its pairing's come in one list
+        doc = {**TOY_MODEL_DOC, "arch": "BlockDiffusion", "n_l": 0, "alpha": -1.0, "d": 9}
         with pytest.raises(ConfigValidationError) as exc:
-            validate_model_config(toy_config(n_l=0, alpha=-1.0, d=9), Architecture.BLOCK_DIFFUSION)
+            model_config_from_dict(doc)
         codes = exc.value.codes()
         assert "dimension_mismatch" in codes
         assert "missing_block_size" in codes
         assert codes.count("non_positive_field") >= 2
 
-    def test_wrong_type_aggregates_with_other_rules(self):
+    def test_kind_issues_come_before_range_issues(self):
         with pytest.raises(ConfigValidationError) as exc:
-            validate_model_config(toy_config(n_l=0, alpha="x", n_params=-1.0), Architecture.AR)
-        assert exc.value.codes() == ("non_positive_field", "wrong_type", "non_positive_field")
+            toy_config(n_l=0, alpha="x", n_params=-1.0)
+        assert exc.value.codes() == ("wrong_type",)
+        with pytest.raises(ConfigValidationError) as exc:
+            toy_config(n_l=0, alpha=-1.0, n_params=-1.0)
+        assert exc.value.codes() == ("non_positive_field",) * 3
 
     def test_non_positive_n(self):
         with pytest.raises(ConfigValidationError) as exc:
-            validate_model_config(toy_config(n_params=0.0), Architecture.AR)
+            toy_config(n_params=0.0)
         assert "non_positive_field" in exc.value.codes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModelConfig(0, 1, 1, 1, 1.0, 1.0),
+        lambda: replace(toy_config(), n_l=0),
+        lambda: Workload(1, 0, 0),
+        lambda: Workload(1.5, 0, 16),
+        lambda: replace(Workload(1, 0, 16), gen_len=0),
+    ], ids=["model", "replaced_model", "zero_gen_len", "fractional_batch", "replaced_workload"])
+    def test_invalid_config_raises_when_built(self, build):
+        with pytest.raises(ConfigValidationError):
+            build()
+
+    @pytest.mark.parametrize("arch", ["AR", "BlockDiffusion", None])
+    def test_architecture_given_by_name_is_wrong_type(self, arch):
+        with pytest.raises(ConfigValidationError) as exc:
+            validate_model_config(toy_config(block_size=4), arch)
+        assert exc.value.issues == (("wrong_type", f"arch must be of type Architecture, got {arch!r}"),)
+
+    def test_model_without_n_is_told_nothing_about_n(self):
+        doc = {"arch": "BlockDiffusion", "n_l": 0, "n_h": 1, "n_d": 8, "d": 8, "alpha": 1.0}
+        with pytest.raises(ConfigValidationError) as exc:
+            model_config_from_dict(doc)
+        assert exc.value.issues == (
+            ("non_positive_field", "n_l must be an integer >= 1, got 0"),
+            ("missing_block_size", "block diffusion requires a block size G >= 1"),
+        )
+        doc = {"arch": "AR", "n_l": 1, "n_h": 1, "n_d": 8, "d": 8, "alpha": 1e307}  # a derived N past the float range
+        with pytest.raises(ConfigValidationError) as exc:
+            model_config_from_dict(doc)
+        assert exc.value.codes() == ("out_of_range",) and "N " not in str(exc.value)
 
 
 class TestDeriveParamCount:
@@ -133,8 +201,8 @@ class TestHardwareWorkloadAccel:
         assert AccelerationConfig(tpf=2.0, dual_cache=True).label == "parallel+dual-cache"
 
 
-# fields of a hardware profile or acceleration config that break one rule each, and the code of that rule;
-# a library caller gets the wrong_type issue a JSON caller gets, never a bare TypeError
+# fields of a hardware profile, acceleration config or workload that break one rule each, and the code of
+# that rule; a JSON document and a library caller get the same issues, never a bare TypeError
 INVALID_HARDWARE = {
     "zero_p_max": ({"p_max": 0.0}, "non_positive_field"),
     "negative_p_max": ({"p_max": -1e14}, "non_positive_field"),
@@ -143,38 +211,56 @@ INVALID_HARDWARE = {
     "nan_capacity": ({"capacity": math.nan}, "non_finite_field"),
     "infinite_capacity": ({"capacity": math.inf}, "non_finite_field"),
     "three_byte_elements": ({"bytes_per_element": 3}, "non_positive_field"),
-    "bool_elements": ({"bytes_per_element": True}, "non_positive_field"),
-    "float_elements": ({"bytes_per_element": 2.0}, "non_positive_field"),
+    "bool_elements": ({"bytes_per_element": True}, "wrong_type"),
+    "float_elements": ({"bytes_per_element": 2.0}, "wrong_type"),
+    "huge_elements": ({"bytes_per_element": 2**53 + 1}, "out_of_range"),
     "ridge_overflow": ({"p_max": 1e308, "b_mem": 1e-10}, "out_of_range"),
     "ridge_underflow": ({"p_max": 1e-300, "b_mem": 1e300}, "out_of_range"),
-    "nan_p_max": ({"p_max": math.nan}, "out_of_range"),
+    "nan_p_max": ({"p_max": math.nan}, "non_finite_field"),
+    "infinite_p_max": ({"p_max": math.inf}, "non_finite_field"),
     "string_p_max": ({"p_max": "1e12"}, "wrong_type"),
     "bool_p_max": ({"p_max": True}, "wrong_type"),
     "none_b_mem": ({"b_mem": None}, "wrong_type"),
+    "string_b_mem": ({"b_mem": "1e10"}, "wrong_type"),
+    "nan_b_mem": ({"b_mem": math.nan}, "non_finite_field"),
+    "infinite_b_mem": ({"b_mem": math.inf}, "non_finite_field"),
     "bool_capacity": ({"capacity": False}, "wrong_type"),
+    "string_capacity": ({"capacity": "8e10"}, "wrong_type"),
 }
+# dual_cache_block is checked for its kind and bound with dual cache off, and for its range only with it on
 INVALID_ACCELERATION = {
     "tpf_below_one": ({"tpf": 0.5}, "non_positive_field"),
     "nan_tpf": ({"tpf": math.nan}, "non_finite_field"),
     "infinite_tpf": ({"tpf": math.inf}, "non_finite_field"),
     "zero_refresh_interval": ({"cache_refresh_interval": 0}, "non_positive_field"),
-    "bool_refresh_interval": ({"cache_refresh_interval": True}, "non_positive_field"),
+    **{f"{bad}_refresh_interval": ({"cache_refresh_interval": value}, code) for bad, (value, code) in BAD_INTEGERS.items()},
     "zero_dual_cache_block": ({"dual_cache": True, "dual_cache_block": 0}, "non_positive_field"),
-    "bool_dual_cache_block": ({"dual_cache": True, "dual_cache_block": True}, "non_positive_field"),
+    **{f"{bad}_dual_cache_block": ({"dual_cache": True, "dual_cache_block": value}, code)
+       for bad, (value, code) in BAD_INTEGERS.items()},
+    **{f"{bad}_unused_dual_cache_block": ({"dual_cache_block": value}, code) for bad, (value, code) in BAD_INTEGERS.items()},
     "string_tpf": ({"tpf": "2"}, "wrong_type"),
     "bool_tpf": ({"tpf": True}, "wrong_type"),
     "string_dual_cache": ({"dual_cache": "false"}, "wrong_type"),
     "int_dual_cache": ({"dual_cache": 1}, "wrong_type"),
 }
+INVALID_WORKLOAD = {
+    **{f"{bad}_{name}": ({name: value}, code) for name in ("batch", "prompt_len", "gen_len")
+       for bad, (value, code) in BAD_INTEGERS.items()},
+    "zero_batch": ({"batch": 0}, "non_positive_field"),
+    "negative_prompt_len": ({"prompt_len": -1}, "non_positive_field"),
+    "zero_gen_len": ({"gen_len": 0}, "non_positive_field"),
+}
+WORKLOAD_DOC = {"batch": 1, "prompt_len": 40, "gen_len": 256}
 
 
 class TestSelfValidation:
-    """A HardwareSpec or AccelerationConfig that breaks a rule cannot be built."""
+    """A HardwareSpec, AccelerationConfig or Workload that breaks a rule cannot be built."""
 
     @pytest.mark.parametrize("case", list(INVALID_HARDWARE))
     def test_hardware_rule_raises_when_built(self, case):
         fields, code = INVALID_HARDWARE[case]
-        for build in (lambda: replace(A800_CLASS, **fields), lambda: HardwareSpec(**{**vars(A800_CLASS), **fields})):
+        doc = {**vars(A800_CLASS), **fields}
+        for build in (lambda: replace(A800_CLASS, **fields), lambda: HardwareSpec(**doc), lambda: hardware_from_dict(doc)):
             with pytest.raises(ConfigValidationError) as exc:
                 build()
             assert exc.value.codes() == (code,)
@@ -182,14 +268,30 @@ class TestSelfValidation:
     @pytest.mark.parametrize("case", list(INVALID_ACCELERATION))
     def test_acceleration_rule_raises_when_built(self, case):
         fields, code = INVALID_ACCELERATION[case]
-        with pytest.raises(ConfigValidationError) as exc:
-            AccelerationConfig(**fields)
-        assert exc.value.codes() == (code,)
+        for build in (lambda: AccelerationConfig(**fields), lambda: replace(NO_ACCELERATION, **fields),
+                      lambda: acceleration_from_dict(fields)):
+            with pytest.raises(ConfigValidationError) as exc:
+                build()
+            assert exc.value.codes() == (code,)
+
+    @pytest.mark.parametrize("case", list(INVALID_WORKLOAD))
+    def test_workload_rule_raises_when_built(self, case):
+        fields, code = INVALID_WORKLOAD[case]
+        doc = {**WORKLOAD_DOC, **fields}
+        for build in (lambda: Workload(**doc), lambda: replace(Workload(**WORKLOAD_DOC), **fields),
+                      lambda: workload_from_dict(doc)):
+            with pytest.raises(ConfigValidationError) as exc:
+                build()
+            assert exc.value.codes() == (code,)
 
     def test_rules_aggregate(self):
         with pytest.raises(ConfigValidationError) as exc:
+            HardwareSpec(p_max=-1.0, b_mem=0.0, capacity=-1.0, bytes_per_element=3)
+        assert exc.value.codes() == ("non_positive_field",) * 4
+        # a non-finite number is an issue of its kind, raised before any range is checked, as in JSON
+        with pytest.raises(ConfigValidationError) as exc:
             HardwareSpec(p_max=-1.0, b_mem=0.0, capacity=math.nan, bytes_per_element=3)
-        assert exc.value.codes() == ("non_positive_field",) * 2 + ("non_finite_field", "non_positive_field")
+        assert exc.value.codes() == ("non_finite_field",)
 
     def test_wrong_types_aggregate(self):
         with pytest.raises(ConfigValidationError) as exc:
@@ -198,28 +300,28 @@ class TestSelfValidation:
 
     def test_dual_cache_block_unchecked_without_dual_cache(self):
         assert AccelerationConfig(dual_cache_block=0).dual_cache_block == 0
+        assert acceleration_from_dict({"dual_cache_block": 0}) == AccelerationConfig(dual_cache_block=0)
 
 
 class TestIntegerFieldsRejectBool:
-    """``True == 1``, but a bool is not a count: every integer field rejects it with today's code."""
+    """``True == 1``, but a bool is not a count: every integer field rejects it with ``wrong_type``, as JSON does."""
 
     @pytest.mark.parametrize("name", ["n_l", "n_h", "n_d", "d"])
     def test_model_shape(self, name):
-        cfg = toy_config(**{name: True})
         with pytest.raises(ConfigValidationError) as exc:
-            validate_model_config(cfg, Architecture.AR)
-        assert "non_positive_field" in exc.value.codes()
+            toy_config(**{name: True})
+        assert "wrong_type" in exc.value.codes()
 
     def test_block_size(self):
         with pytest.raises(ConfigValidationError) as exc:
             validate_model_config(toy_config(block_size=True), Architecture.BLOCK_DIFFUSION)
-        assert exc.value.codes() == ("non_positive_field",)
+        assert exc.value.codes() == ("wrong_type",)
 
     @pytest.mark.parametrize("name", ["batch", "prompt_len", "gen_len"])
     def test_workload(self, name):
         with pytest.raises(ConfigValidationError) as exc:
             validate_workload(replace(Workload(1, 40, 256), **{name: True}))
-        assert exc.value.codes() == ("non_positive_field",)
+        assert exc.value.codes() == ("wrong_type",)
 
 
 def bounded_model(name, value):

@@ -122,19 +122,28 @@ class TestOomReproduction:
                 assert not rep.oom
 
 
+def test_architecture_given_by_name():
+    with pytest.raises(ConfigValidationError) as exc:
+        estimate_memory("DLM", DLM_8B, A800_CLASS, Workload(1, 40, 256))
+    assert exc.value.issues == (("wrong_type", "arch must be of type Architecture, got 'DLM'"),)
+
+
 class TestOutOfRange:
+    # the model and workload are built in the test body: one that breaks a rule raises when built
     @pytest.mark.parametrize(
-        "arch, cfg, wl",
+        "arch, cfg, wl, code",
         [
-            (Architecture.AR, replace(AR_8B, n_params=1e308), Workload(1, 40, 256)),
-            (Architecture.AR, replace(AR_8B, n_params=float("inf")), Workload(1, 40, 256)),
-            # the two integers below are above the 2**53 bound: validation rejects them before any footprint
-            (Architecture.DLM, DLM_8B, Workload(1, 40, 10**400)),
-            (Architecture.BLOCK_DIFFUSION, BLOCK_DIFFUSION_8B, Workload(10**300, 40, 256)),
+            (Architecture.AR, lambda: replace(AR_8B, n_params=1e308), lambda: Workload(1, 40, 256), "out_of_range"),
+            # an infinite N is rejected when the model is built, as in JSON
+            (Architecture.AR, lambda: replace(AR_8B, n_params=float("inf")), lambda: Workload(1, 40, 256),
+             "non_finite_field"),
+            # the two integers below are above the 2**53 bound: the workload rejects them when built
+            (Architecture.DLM, lambda: DLM_8B, lambda: Workload(1, 40, 10**400), "out_of_range"),
+            (Architecture.BLOCK_DIFFUSION, lambda: BLOCK_DIFFUSION_8B, lambda: Workload(10**300, 40, 256), "out_of_range"),
         ],
         ids=["weights_overflow", "infinite_weights", "integer_beyond_float_range", "footprint_overflow"],
     )
-    def test_footprint_beyond_the_float_range(self, arch, cfg, wl):
+    def test_footprint_beyond_the_float_range(self, arch, cfg, wl, code):
         with pytest.raises(ConfigValidationError) as exc:
-            estimate_memory(arch, cfg, A800_CLASS, wl)
-        assert exc.value.codes() == ("out_of_range",)
+            estimate_memory(arch, cfg(), A800_CLASS, wl())
+        assert exc.value.codes() == (code,)

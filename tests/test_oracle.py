@@ -295,6 +295,15 @@ class TestOracleCheck:
             oracle_check(Architecture.AR, cfg, Workload(1, 0, 16), variables=variables)
         assert built == []
 
+    @pytest.mark.parametrize("variables", [(), ("B", "B")], ids=["none", "repeated"])
+    def test_rejects_no_variable_or_a_repeated_one_before_any_point(self, monkeypatch, variables):
+        # an empty list would pass with no check, and a repeated one run the same sweep twice
+        built = []
+        monkeypatch.setattr(oracle, "build_schedule", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="each once"):
+            oracle_check(Architecture.AR, ModelConfig(1, 1, 8, 8, 1.0, 64.0), Workload(1, 0, 8), variables=variables)
+        assert built == []
+
     @pytest.mark.parametrize("arch", [Architecture.AR, Architecture.DLM], ids=["AR", "DLM"])
     def test_rejects_a_block_size_sweep_off_block_diffusion(self, monkeypatch, arch):
         # the block size is ignored off block diffusion: a G sweep there would vary nothing

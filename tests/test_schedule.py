@@ -89,6 +89,11 @@ class TestDefaults:
         assert sched.decode.passes == math.ceil(gen_len / block) * block
         assert sched.decode.passes == expected
 
+    def test_architecture_given_by_name(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            build_schedule("AR", AR_8B, Workload(1, 0, 16))
+        assert exc.value.issues == (("wrong_type", "arch must be of type Architecture, got 'AR'"),)
+
     def test_no_prefill_without_prompt(self):
         for arch in Architecture:
             sched = build_schedule(arch, cfg_for(arch), Workload(1, 0, 4))

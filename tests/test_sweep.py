@@ -83,7 +83,7 @@ class TestGrid:
         ({"batches": (4, 2)}, "not_increasing"),
         ({"prompt_lens": (-1, 0)}, "non_positive_field"),
         ({"architectures": (Architecture.AR, Architecture.AR)}, "duplicate_entry"),
-        ({"models": {Architecture.AR: ModelConfig(2, 2, 4, 9, 4.0, 1000.0)}}, "dimension_mismatch"),
+        ({"models": {Architecture.BLOCK_DIFFUSION: ModelConfig(2, 2, 4, 8, 4.0, 1000.0)}}, "missing_block_size"),
     ])
     def test_spec_checks_itself_when_built(self, fields, code):
         for build in (lambda: toy_spec(**fields), lambda: replace(toy_spec(), **fields)):
@@ -102,6 +102,38 @@ class TestGrid:
             with pytest.raises(ConfigValidationError) as exc:
                 build()
             assert exc.value.issues == (issue,)
+
+    def test_an_invalid_model_raises_before_its_spec_is_built(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            toy_spec(models={Architecture.AR: ModelConfig(2, 2, 4, 9, 4.0, 1000.0)})
+        assert exc.value.codes() == ("dimension_mismatch",)
+
+    @pytest.mark.parametrize("fields, issue", [
+        ({"architectures": ("AR",)}, "architectures[0] must be of type Architecture, got 'AR'"),
+        ({"hardware": None}, "hardware must be of type HardwareSpec, got None"),
+        ({"accel": {Architecture.DLM: None}}, "accel['DLM'] must be of type AccelerationConfig, got None"),
+        ({"models": {Architecture.AR: "x"}}, "models['AR'] must be of type ModelConfig, got 'x'"),
+        ({"models": {"AR": TOY_MODELS[Architecture.AR]}}, "models key must be of type Architecture, got 'AR'"),
+        ({"gen_lens": 5}, "gen_lens must be an array, got 5"),
+    ], ids=["architecture_name", "no_hardware", "no_accel", "string_model", "model_key_name", "number_gen_lens"])
+    def test_spec_checks_the_types_of_its_parts(self, fields, issue):
+        for build in (lambda: toy_spec(**fields), lambda: replace(toy_spec(), **fields)):
+            with pytest.raises(ConfigValidationError) as exc:
+                build()
+            assert exc.value.issues == (("wrong_type", issue),)
+
+    def test_spec_messages_match_the_json_reader(self):
+        for doc, spec in (({"gen_lens": 5}, {"gen_lens": 5}), ({"batches": [True]}, {"batches": (True,)})):
+            with pytest.raises(ConfigValidationError) as from_json:
+                sweep_spec_from_dict(doc)
+            with pytest.raises(ConfigValidationError) as from_library:
+                SweepSpec(**spec)
+            assert from_json.value.issues == from_library.value.issues
+
+    def test_sweep_of_an_architecture_given_by_name(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            run_sweep(SweepSpec(architectures=("AR",), gen_lens=(16,), batches=(1,), prompt_lens=(0,)))
+        assert exc.value.codes() == ("wrong_type",)
 
     def test_sweep_does_not_recheck_its_spec(self, monkeypatch):
         spec = toy_spec()  # it validated itself when built
@@ -219,7 +251,7 @@ class TestSinglePointEvaluation:
         with pytest.raises(ConfigValidationError) as exc:
             evaluate_point(Architecture.AR, DEFAULT_MODELS[Architecture.AR], A800_CLASS, replace(POINT_WL, batch=True),
                            AccelerationConfig(), source=IntensitySource.SCHEDULE, include_prefill=False)
-        assert exc.value.codes() == ("non_positive_field",)
+        assert exc.value.codes() == ("wrong_type",)
 
     @pytest.mark.parametrize("include_prefill", [False, True], ids=["decode", "prefill"])
     @pytest.mark.parametrize("source", list(IntensitySource), ids=[s.value for s in IntensitySource])

@@ -114,7 +114,7 @@ class TestParallelDecodingIdentity:
 
 class TestTrends:
     def toy(self, d=64, alpha=3.5, n_l=4):
-        cfg = ModelConfig(n_l=n_l, n_h=1, n_d=d, d=d, alpha=alpha, n_params=0.0)
+        cfg = ModelConfig(n_l=n_l, n_h=1, n_d=d, d=d, alpha=alpha, n_params=1.0)
         from rooflm.config import derive_param_count
 
         return replace(cfg, n_params=derive_param_count(cfg))
@@ -220,10 +220,16 @@ class TestOutOfRange:
         assert exc.value.codes() == ("out_of_range",)
 
 
+def test_crossing_batch_of_an_architecture_given_by_name():
+    with pytest.raises(ConfigValidationError) as exc:
+        crossing_batch("AR", AR_8B, A800_CLASS, Workload(1, 40, 256))
+    assert exc.value.issues == (("wrong_type", "arch must be of type Architecture, got 'AR'"),)
+
+
 def test_bool_batch_rejected():
     with pytest.raises(ConfigValidationError) as exc:
         estimate_throughput(Architecture.AR, AR_8B, A800_CLASS, Workload(True, 40, 256))
-    assert exc.value.issues == (("non_positive_field", "batch must be an integer >= 1, got True"),)
+    assert exc.value.issues == (("wrong_type", "batch must be an integer, got True"),)
 
 
 @pytest.mark.parametrize("name", ["alpha", "n_params"])
