@@ -70,7 +70,7 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         given_g = () if self.block_size is None else (("G", self.block_size, int),)
-        _check_kinds([(name, getattr(self, name), int) for name in _SHAPE]
+        check_kinds([(name, getattr(self, name), int) for name in _SHAPE]
                      + [("alpha", self.alpha, float), ("N", self.n_params, float), *given_g])
         issues = []
         for name in _SHAPE:
@@ -177,12 +177,10 @@ def _wrong_type(name: str, value: Any, kind: type, issues: list) -> bool:
 MAX_INTEGER = 2**53
 
 
-def _check_kinds(fields: Iterable[tuple[str, Any, type]]) -> None:
+def check_kinds(fields: Iterable[tuple[str, Any, type]]) -> None:
     """Raise the kind, bound and finiteness issues of the ``(name, value, kind)`` fields (see the module docstring)."""
     issues: list = []
     for name, value, kind in fields:
-        if type(value) is kind and (kind is not int or value <= MAX_INTEGER) and (kind is not float or math.isfinite(value)):
-            continue  # the common case, passed without building a message
         if _wrong_type(name, value, kind, issues):
             continue
         if kind is int and value > MAX_INTEGER or kind is float and isinstance(value, int) and abs(value) > MAX_INTEGER:
@@ -226,7 +224,7 @@ _VALID_WIDTHS = (1, 2, 4, 8)
 
 
 def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
-    _check_kinds([(name, getattr(hw, name), float) for name in ("p_max", "b_mem", "capacity")]
+    check_kinds([(name, getattr(hw, name), float) for name in ("p_max", "b_mem", "capacity")]
                  + [("bytes_per_element", hw.bytes_per_element, int)])
     issues = []
     for name in ("p_max", "b_mem", "capacity"):
@@ -242,7 +240,7 @@ def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
 
 
 def validate_workload(wl: Workload) -> Workload:
-    _check_kinds((("batch", wl.batch, int), ("prompt_len", wl.prompt_len, int), ("gen_len", wl.gen_len, int)))
+    check_kinds((("batch", wl.batch, int), ("prompt_len", wl.prompt_len, int), ("gen_len", wl.gen_len, int)))
     issues: list = []
     for name, low in (("batch", 1), ("prompt_len", 0), ("gen_len", 1)):
         _below(name, getattr(wl, name), low, issues)
@@ -251,7 +249,7 @@ def validate_workload(wl: Workload) -> Workload:
 
 
 def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
-    _check_kinds([("tpf", accel.tpf, float), ("dual_cache", accel.dual_cache, bool)]
+    check_kinds([("tpf", accel.tpf, float), ("dual_cache", accel.dual_cache, bool)]
                  + [(name, getattr(accel, name), int) for name in ("dual_cache_block", "cache_refresh_interval")])
     issues: list = []
     if accel.tpf < 1.0:

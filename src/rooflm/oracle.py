@@ -227,7 +227,8 @@ class OracleReport:
                 f"  exponent analytic={c.exponent_analytic:.4f} oracle={c.exponent_oracle:.4f} "
                 f"drift={c.ratio_drift:.2%}"
             )
-        lines += ["", f"overall: {self.verdict}"]
+        lines.append("")
+        lines.append(f"overall: {self.verdict}")
         return "\n".join(lines) + "\n"
 
     def csv_rows(self) -> list[tuple[str, ...]]:
@@ -240,8 +241,13 @@ class OracleReport:
         ]
 
 
-def _metric_pairs(arch: Architecture, cfg: ModelConfig, wl: Workload, accel: AccelerationConfig,
-                  hw: HardwareSpec) -> dict[str, tuple[float, float]]:
+def _metric_pairs(
+    arch: Architecture,
+    cfg: ModelConfig,
+    wl: Workload,
+    accel: AccelerationConfig,
+    hw: HardwareSpec,
+) -> dict[str, tuple[float, float]]:
     """(closed-form value, enumerated value) per metric for one grid point.
 
     Both sides are ``schedule_throughput``'s decode-phase division: the
@@ -255,9 +261,13 @@ def _metric_pairs(arch: Architecture, cfg: ModelConfig, wl: Workload, accel: Acc
     orc = schedule_throughput(
         schedule, count_schedule(schedule, cfg, hw), cfg, hw, wl, source=IntensitySource.SCHEDULE, include_prefill=False
     )
-    # each metric is the ThroughputEstimate field of its name, but throughput is tokens_per_second
-    fields = ("flops_total", "mops_total", "flops_per_token", "arint", "tokens_per_second")
-    return {metric: (getattr(ana, name), getattr(orc, name)) for metric, name in zip(METRICS, fields)}
+    return {
+        "flops_total": (ana.flops_total, orc.flops_total),
+        "mops_total": (ana.mops_total, orc.mops_total),
+        "flops_per_token": (ana.flops_per_token, orc.flops_per_token),
+        "arint": (ana.arint, orc.arint),
+        "throughput": (ana.tokens_per_second, orc.tokens_per_second),
+    }
 
 
 def vary(variable: str, cfg: ModelConfig, wl: Workload, value: int) -> tuple[ModelConfig, Workload]:
@@ -337,8 +347,12 @@ def oracle_check(
             ratios = [p.ratio for p in pts]
             mean = fsum(ratios) / len(ratios)
             drift = max(abs(r - mean) for r in ratios) / mean
-            verdict = ("ExponentMismatch" if abs(exp_a - exp_o) > EXPONENT_TOLERANCE
-                       else "ConstantDrift" if drift > RATIO_TOLERANCE else "PASS")
+            if abs(exp_a - exp_o) > EXPONENT_TOLERANCE:
+                verdict = "ExponentMismatch"
+            elif drift > RATIO_TOLERANCE:
+                verdict = "ConstantDrift"
+            else:
+                verdict = "PASS"
             checks.append(TrendCheck(metric, variable, tuple(pts), exp_a, exp_o, drift, verdict))
     return OracleReport(arch=arch, checks=tuple(checks))
 

@@ -27,9 +27,9 @@ from .config import (
     ModelConfig,
     NO_ACCELERATION,
     Workload,
-    _check_kinds,
     acceleration_from_dict,
     architecture_from_name,
+    check_kinds,
     hardware_from_dict,
     json_array,
     json_object,
@@ -103,13 +103,13 @@ _MAPPINGS = {"accel": AccelerationConfig, "models": ModelConfig}
 
 def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
     """Return ``spec`` if every rule holds, else raise its issues; the kinds of its parts come first."""
-    _check_kinds([(name, getattr(spec, name), list) for name in _LISTS]
-                 + [(name, getattr(spec, name), dict) for name in _MAPPINGS] + [("hardware", spec.hardware, HardwareSpec)])
+    check_kinds([(name, getattr(spec, name), list) for name in _LISTS]
+                + [(name, getattr(spec, name), dict) for name in _MAPPINGS] + [("hardware", spec.hardware, HardwareSpec)])
     items = [(f"{name}[{i}]", value, kind) for name, kind in _LISTS.items() for i, value in enumerate(getattr(spec, name))]
     for name, kind in _MAPPINGS.items():
         for arch, value in getattr(spec, name).items():
             items += [(f"{name} key", arch, Architecture), (f"{name}[{getattr(arch, 'value', arch)!r}]", value, kind)]
-    _check_kinds(items)
+    check_kinds(items)
     issues = []
     if not spec.architectures:
         issues.append(("empty_list", "architectures must be non-empty"))
@@ -133,7 +133,8 @@ def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-_SPEC_FIELDS = {**dict.fromkeys(_LISTS, list), **dict.fromkeys(_MAPPINGS, dict), "hardware": dict}
+_SPEC_FIELDS = {"architectures": list, "gen_lens": list, "batches": list, "prompt_lens": list,
+                "accel": dict, "models": dict, "hardware": dict}
 
 
 def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: bool = False) -> SweepSpec:
