@@ -2,19 +2,21 @@
 
 Each config type validates itself when built (``dataclasses.replace``
 included), under one rule per field for every caller, so an invalid one
-cannot exist and no caller re-checks it. A field's kind, bound and
-finiteness are checked whenever it is given: an integer field takes an
-``int``, a number field an ``int`` or ``float``, a flag a bool (a bool is no
-integer or number), else ``wrong_type``; an integer above ``MAX_INTEGER``
-(2**53), or an ``int`` of greater magnitude in a number field, is
-``out_of_range``, so no closed-form total overflows a float; a NaN or
-infinite number is ``non_finite_field``. These come before any range, which
-is checked only where its field is used: ``dual_cache_block >= 1`` with dual
-cache on, ``G >= 1`` for block diffusion (``validate_model_config``, the
-rule that pairs a model with an architecture).
+cannot exist and no caller re-checks it. A field's kind is its annotation
+(``Optional[X]`` an X checked only when given, ``tuple[X, ...]`` an array of
+X, ``Mapping[K, V]`` an object of K keys and V values, a config type an
+object). Its kind, bound and finiteness are checked whenever it is given: an
+integer field takes an ``int``, a number field an ``int`` or ``float``, a
+flag a bool (a bool is no integer or number), else ``wrong_type``; an
+integer above ``MAX_INTEGER`` (2**53), or an ``int`` of greater magnitude in
+a number field, is ``out_of_range``, so no closed-form total overflows a
+float; a NaN or infinite number is ``non_finite_field``. These come before
+any range, which is checked only where its field is used:
+``dual_cache_block >= 1`` with dual cache on, ``G >= 1`` for block diffusion
+(``validate_model_config``, the rule that pairs a model with an architecture).
 
 JSON documents use the short field names of the notation (``N`` and ``G``
-for ``n_params`` and ``block_size``). The reader checks only a document's
+for ``n_params`` and ``block_size``, ``JSON_NAMES``). The reader checks only a document's
 shape and hands its fields to the constructors: an unknown field (rejected,
 or warned about in lenient mode), a missing one, a key given twice
 (``duplicate_field``), a file that is not UTF-8 (``invalid_encoding``), and a
@@ -27,10 +29,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import abc
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import ConfigValidationError
 
@@ -69,9 +73,7 @@ class ModelConfig:
     block_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        given_g = () if self.block_size is None else (("G", self.block_size, int),)
-        check_kinds([(name, getattr(self, name), int) for name in _SHAPE]
-                     + [("alpha", self.alpha, float), ("N", self.n_params, float), *given_g])
+        check_kinds(self)
         issues = []
         for name in _SHAPE:
             _below(name, getattr(self, name), 1, issues)
@@ -84,11 +86,12 @@ class ModelConfig:
 
 
 _SHAPE = ("n_l", "n_h", "n_d", "d")
+_VALID_WIDTHS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
 class HardwareSpec:
-    """A device profile; building one that breaks a rule of ``validate_hardware`` raises its issues."""
+    """A device profile; building one that breaks a rule raises its issues."""
 
     p_max: float                 # peak floating-point rate, FLOPs/s
     b_mem: float                 # peak sustainable memory bandwidth, bytes/s
@@ -96,19 +99,33 @@ class HardwareSpec:
     bytes_per_element: int = 2   # storage width of weights/activations
 
     def __post_init__(self) -> None:
-        validate_hardware(self)
+        check_kinds(self)
+        issues = []
+        for name in ("p_max", "b_mem", "capacity"):
+            if getattr(self, name) <= 0:
+                issues.append(("non_positive_field", f"{name} must be > 0, got {getattr(self, name)!r}"))
+        if self.bytes_per_element not in _VALID_WIDTHS:
+            issues.append(("non_positive_field", f"bytes_per_element must be one of {_VALID_WIDTHS}, got {self.bytes_per_element!r}"))
+        # the ridge point p_max / b_mem must be a finite positive float
+        if self.p_max > 0 and self.b_mem > 0 and not 0 < self.p_max / self.b_mem < math.inf:
+            issues.append(("out_of_range", f"ridge point p_max / b_mem = {self.p_max!r} / {self.b_mem!r} is beyond the float range"))
+        _raise(issues)
 
 
 @dataclass(frozen=True)
 class Workload:
-    """One generation request; building one that breaks a rule of ``validate_workload`` raises its issues."""
+    """One generation request; building one that breaks a rule raises its issues."""
 
     batch: int
     prompt_len: int
     gen_len: int
 
     def __post_init__(self) -> None:
-        validate_workload(self)
+        check_kinds(self)
+        issues: list = []
+        for name, low in (("batch", 1), ("prompt_len", 0), ("gen_len", 1)):
+            _below(name, getattr(self, name), low, issues)
+        _raise(issues)
 
     @property
     def total_len(self) -> int:
@@ -123,7 +140,7 @@ class AccelerationConfig:
     (1 = no parallel decoding). Dual cache restricts diffusion steps to a
     small active window of ``dual_cache_block`` tokens, re-encoding the full
     sequence once every ``cache_refresh_interval`` window steps. Building
-    one that breaks a rule of ``validate_acceleration`` raises its issues.
+    one that breaks a rule raises its issues.
     """
 
     tpf: float = 1.0
@@ -132,7 +149,14 @@ class AccelerationConfig:
     cache_refresh_interval: int = 256
 
     def __post_init__(self) -> None:
-        validate_acceleration(self)
+        check_kinds(self)
+        issues: list = []
+        if self.tpf < 1.0:
+            issues.append(("non_positive_field", f"tpf must be >= 1, got {self.tpf!r}"))
+        if self.dual_cache:
+            _below("dual_cache_block", self.dual_cache_block, 1, issues)
+        _below("cache_refresh_interval", self.cache_refresh_interval, 1, issues)
+        _raise(issues)
 
     @property
     def label(self) -> str:
@@ -164,29 +188,60 @@ _KINDS = {
 }
 
 
-def _wrong_type(name: str, value: Any, kind: type, issues: list) -> bool:
-    """Whether ``value`` is not of ``kind`` (a JSON kind above, or any class); if not, a ``wrong_type`` issue is appended."""
+def _kind_issue(name: str, value: Any, kind: type, issues: list) -> bool:
+    """Whether ``value`` is no valid value of ``kind`` (a JSON kind above, or any class); if so, its issue is appended."""
     types, expected = _KINDS.get(kind, (kind, None))
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         issues.append(("wrong_type", f"{name} must be {expected or f'of type {kind.__name__}'}, got {value!r}"))
-        return True
-    return False
+    elif kind is int and value > MAX_INTEGER or kind is float and isinstance(value, int) and abs(value) > MAX_INTEGER:
+        issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
+    elif kind is float and not math.isfinite(value):
+        issues.append(("non_finite_field", f"{name} must be {expected}, got {value!r}"))
+    else:
+        return False
+    return True
 
 
 # largest accepted integer; every integer up to it is exact as a float
 MAX_INTEGER = 2**53
 
+# field name -> JSON key, where the notation's short name differs; issues name the JSON key
+JSON_NAMES = {"n_params": "N", "block_size": "G"}
 
-def check_kinds(fields: Iterable[tuple[str, Any, type]]) -> None:
-    """Raise the kind, bound and finiteness issues of the ``(name, value, kind)`` fields (see the module docstring)."""
-    issues: list = []
-    for name, value, kind in fields:
-        if _wrong_type(name, value, kind, issues):
+
+@cache
+def _field_table(cls: type) -> tuple[tuple[str, str, type, tuple, bool], ...]:
+    """``(name, JSON key, kind, item kinds, optional)`` of each field of config type ``cls``, from its annotation."""
+    hints, table = get_type_hints(cls), []
+    for f in fields(cls):
+        optional = type(None) in get_args(hints[f.name])  # Optional[X]
+        hint = get_args(hints[f.name])[0] if optional else hints[f.name]
+        origin, args = get_origin(hint), get_args(hint)
+        kind, items = (list, args[:1]) if origin is tuple else (dict, args) if origin is abc.Mapping else (hint, ())
+        table.append((f.name, JSON_NAMES.get(f.name, f.name), kind, items, optional))
+    return tuple(table)
+
+
+def json_kinds(cls: type) -> dict[str, type]:
+    """The JSON kind of each field of config type ``cls``, by JSON key; a nested config type is an object."""
+    return {key: dict if is_dataclass(kind) else kind for _, key, kind, _, _ in _field_table(cls)}
+
+
+def check_kinds(config: Any) -> None:
+    """Raise the kind, bound and finiteness issues of ``config``'s fields, then of its arrays' and mappings' items."""
+    issues, parts = [], []
+    for name, key, kind, items, optional in _field_table(type(config)):
+        value = getattr(config, name)
+        if value is None and optional or _kind_issue(key, value, kind, issues):
             continue
-        if kind is int and value > MAX_INTEGER or kind is float and isinstance(value, int) and abs(value) > MAX_INTEGER:
-            issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
-        elif kind is float and not math.isfinite(value):
-            issues.append(("non_finite_field", f"{name} must be {_KINDS[float][1]}, got {value!r}"))
+        if kind is list:
+            parts += [(f"{key}[{i}]", item, items[0]) for i, item in enumerate(value)]
+        elif kind is dict:
+            for k, item in value.items():
+                parts += [(f"{key} key", k, items[0]), (f"{key}[{getattr(k, 'value', k)!r}]", item, items[1])]
+    _raise(issues)
+    for name, value, kind in parts:
+        _kind_issue(name, value, kind, issues)
     _raise(issues)
 
 
@@ -202,7 +257,7 @@ def _raise(issues: list) -> None:
 
 def _pairing_issues(arch: Any, block_size: Any) -> list:
     issues: list = []
-    if not _wrong_type("arch", arch, Architecture, issues) and arch is Architecture.BLOCK_DIFFUSION:
+    if not _kind_issue("arch", arch, Architecture, issues) and arch is Architecture.BLOCK_DIFFUSION:
         if block_size is None:
             issues.append(("missing_block_size", "block diffusion requires a block size G >= 1"))
         elif type(block_size) is int:  # a G of another kind is its model's issue
@@ -220,45 +275,10 @@ def validate_model_config(cfg: ModelConfig, arch: Architecture) -> ModelConfig:
     return cfg
 
 
-_VALID_WIDTHS = (1, 2, 4, 8)
-
-
-def validate_hardware(hw: HardwareSpec) -> HardwareSpec:
-    check_kinds([(name, getattr(hw, name), float) for name in ("p_max", "b_mem", "capacity")]
-                 + [("bytes_per_element", hw.bytes_per_element, int)])
-    issues = []
-    for name in ("p_max", "b_mem", "capacity"):
-        if getattr(hw, name) <= 0:
-            issues.append(("non_positive_field", f"{name} must be > 0, got {getattr(hw, name)!r}"))
-    if hw.bytes_per_element not in _VALID_WIDTHS:
-        issues.append(("non_positive_field", f"bytes_per_element must be one of {_VALID_WIDTHS}, got {hw.bytes_per_element!r}"))
-    # the ridge point p_max / b_mem must be a finite positive float
-    if hw.p_max > 0 and hw.b_mem > 0 and not 0 < hw.p_max / hw.b_mem < math.inf:
-        issues.append(("out_of_range", f"ridge point p_max / b_mem = {hw.p_max!r} / {hw.b_mem!r} is beyond the float range"))
-    _raise(issues)
-    return hw
-
-
-def validate_workload(wl: Workload) -> Workload:
-    check_kinds((("batch", wl.batch, int), ("prompt_len", wl.prompt_len, int), ("gen_len", wl.gen_len, int)))
-    issues: list = []
-    for name, low in (("batch", 1), ("prompt_len", 0), ("gen_len", 1)):
-        _below(name, getattr(wl, name), low, issues)
-    _raise(issues)
-    return wl
-
-
-def validate_acceleration(accel: AccelerationConfig) -> AccelerationConfig:
-    check_kinds([("tpf", accel.tpf, float), ("dual_cache", accel.dual_cache, bool)]
-                 + [(name, getattr(accel, name), int) for name in ("dual_cache_block", "cache_refresh_interval")])
-    issues: list = []
-    if accel.tpf < 1.0:
-        issues.append(("non_positive_field", f"tpf must be >= 1, got {accel.tpf!r}"))
-    if accel.dual_cache:
-        _below("dual_cache_block", accel.dual_cache_block, 1, issues)
-    _below("cache_refresh_interval", accel.cache_refresh_interval, 1, issues)
-    _raise(issues)
-    return accel
+def check_acceleration(accel: AccelerationConfig, arch: Architecture) -> None:
+    """Raise ``unsupported_acceleration`` if ``accel`` asks ``arch`` for dual cache, a DLM acceleration it would ignore."""
+    if accel.dual_cache and arch is not Architecture.DLM:
+        raise ConfigValidationError([("unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}")])
 
 
 NO_ACCELERATION = AccelerationConfig()
@@ -281,7 +301,7 @@ def _typed_value(name: str, value: Any, kind: type, issues: list) -> Any:
 
     No field is null (a library ``None`` means absent), and a string, array or object field is one.
     """
-    if (value is None or kind in (str, list, dict)) and _wrong_type(name, value, kind, issues):
+    if (value is None or kind in (str, list, dict)) and _kind_issue(name, value, kind, issues):
         return None
     if kind is float and type(value) is int:
         try:
@@ -328,12 +348,9 @@ def read_fields(data: Any, kinds: Mapping[str, type], required: tuple[str, ...],
     return fields
 
 
-_MODEL_FIELDS = {"arch": str, "n_l": int, "n_h": int, "n_d": int, "d": int, "alpha": float, "N": float, "G": int}
-
-
 def model_config_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Architecture, ModelConfig]:
     """The architecture and model of a JSON model document; a missing ``N`` is derived from the shape."""
-    f = read_fields(data, _MODEL_FIELDS, ("arch", "n_l", "n_h", "n_d", "d", "alpha"), "model config", strict)
+    f = read_fields(data, {"arch": str, **json_kinds(ModelConfig)}, ("arch", "n_l", "n_h", "n_d", "d", "alpha"), "model config", strict)
     arch = architecture_from_name(f["arch"])
     try:  # a valid N holds the place of a missing one until the shape it is derived from is valid
         cfg = ModelConfig(*(f[name] for name in _SHAPE), f["alpha"], f.get("N", 1.0), f.get("G"))
@@ -348,23 +365,16 @@ def model_config_from_dict(data: Mapping[str, Any], strict: bool = True) -> tupl
     return arch, cfg
 
 
-_HARDWARE_FIELDS = {"p_max": float, "b_mem": float, "capacity": float, "bytes_per_element": int}
-
-
 def hardware_from_dict(data: Mapping[str, Any], strict: bool = True) -> HardwareSpec:
-    return HardwareSpec(**read_fields(data, _HARDWARE_FIELDS, ("p_max", "b_mem", "capacity"), "hardware config", strict))
-
-
-_WORKLOAD_FIELDS = {"batch": int, "prompt_len": int, "gen_len": int, "accel": dict}
-_ACCEL_FIELDS = {"tpf": float, "dual_cache": bool, "dual_cache_block": int, "cache_refresh_interval": int}
+    return HardwareSpec(**read_fields(data, json_kinds(HardwareSpec), ("p_max", "b_mem", "capacity"), "hardware config", strict))
 
 
 def acceleration_from_dict(data: Mapping[str, Any], strict: bool = True) -> AccelerationConfig:
-    return AccelerationConfig(**read_fields(data, _ACCEL_FIELDS, (), "acceleration config", strict))
+    return AccelerationConfig(**read_fields(data, json_kinds(AccelerationConfig), (), "acceleration config", strict))
 
 
 def workload_from_dict(data: Mapping[str, Any], strict: bool = True) -> tuple[Workload, AccelerationConfig]:
-    f = read_fields(data, _WORKLOAD_FIELDS, ("batch", "prompt_len", "gen_len"), "workload config", strict)
+    f = read_fields(data, {**json_kinds(Workload), "accel": dict}, ("batch", "prompt_len", "gen_len"), "workload config", strict)
     wl = Workload(batch=f["batch"], prompt_len=f["prompt_len"], gen_len=f["gen_len"])
     return wl, acceleration_from_dict(f["accel"], strict) if "accel" in f else NO_ACCELERATION
 

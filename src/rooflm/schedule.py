@@ -38,9 +38,9 @@ from .config import (
     ModelConfig,
     NO_ACCELERATION,
     Workload,
+    check_acceleration,
     validate_model_config,
 )
-from .errors import ConfigValidationError
 
 
 class StepDescriptor(NamedTuple):
@@ -245,13 +245,11 @@ def build_schedule(
 ) -> DecodeSchedule:
     """Deterministic forward-pass schedule for one generation request, in O(1).
 
-    Its inputs checked themselves when built; ``validate_model_config`` pairs
-    the model with ``arch``. Dual cache is a DLM acceleration; asked of another
-    architecture, which would ignore it, it is an ``unsupported_acceleration`` error.
+    Its inputs checked themselves when built; ``validate_model_config`` and
+    ``check_acceleration`` pair the model and the acceleration with ``arch``.
     """
     validate_model_config(cfg, arch)
-    if accel.dual_cache and arch is not Architecture.DLM:
-        raise ConfigValidationError([("unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}")])
+    check_acceleration(accel, arch)
 
     if arch is Architecture.AR:
         decode, runs = _ar_sums(wl, accel.tpf), partial(_ar_runs, wl, accel.tpf)

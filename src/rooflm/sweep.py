@@ -29,9 +29,11 @@ from .config import (
     Workload,
     acceleration_from_dict,
     architecture_from_name,
+    check_acceleration,
     check_kinds,
     hardware_from_dict,
     json_array,
+    json_kinds,
     json_object,
     model_config_from_dict,
     read_fields,
@@ -72,7 +74,7 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep grid and its models; building one that breaks a rule of ``validate_sweep_spec`` raises its issues."""
+    """A sweep grid and its models; building one that breaks a rule raises its issues, the kinds of its parts first."""
 
     architectures: tuple[Architecture, ...] = (
         Architecture.AR,
@@ -87,54 +89,35 @@ class SweepSpec:
     hardware: HardwareSpec = A800_CLASS
 
     def __post_init__(self) -> None:
-        validate_sweep_spec(self)
+        check_kinds(self)
+        issues = []
+        if not self.architectures:
+            issues.append(("empty_list", "architectures must be non-empty"))
+        if len(set(self.architectures)) < len(self.architectures):
+            names = [a.value for a in self.architectures]
+            issues.append(("duplicate_entry", f"architectures must name each architecture once, got {names!r}"))
+        for name in ("gen_lens", "batches", "prompt_lens"):
+            values = getattr(self, name)
+            if not values:
+                issues.append(("empty_list", f"{name} must be non-empty"))
+                continue
+            low, rule = (0, ">= 0") if name == "prompt_lens" else (1, "positive")
+            if min(values) < low:
+                issues.append(("non_positive_field", f"{name} must be {rule}, got {values!r}"))
+            if any(b <= a for a, b in zip(values, values[1:])):
+                issues.append(("not_increasing", f"{name} must be strictly increasing, got {values!r}"))
+        if issues:
+            raise ConfigValidationError(issues)
+        for arch in self.architectures:
+            validate_model_config(self.model_for(arch), arch)
+        for arch in self.architectures:
+            check_acceleration(self.accel_for(arch), arch)
 
     def model_for(self, arch: Architecture) -> ModelConfig:
         return self.models.get(arch, DEFAULT_MODELS[arch])
 
     def accel_for(self, arch: Architecture) -> AccelerationConfig:
         return self.accel.get(arch, NO_ACCELERATION)
-
-
-# each list or mapping of a spec and the kind of its items or values
-_LISTS = {"architectures": Architecture, "gen_lens": int, "batches": int, "prompt_lens": int}
-_MAPPINGS = {"accel": AccelerationConfig, "models": ModelConfig}
-
-
-def validate_sweep_spec(spec: SweepSpec) -> SweepSpec:
-    """Return ``spec`` if every rule holds, else raise its issues; the kinds of its parts come first."""
-    check_kinds([(name, getattr(spec, name), list) for name in _LISTS]
-                + [(name, getattr(spec, name), dict) for name in _MAPPINGS] + [("hardware", spec.hardware, HardwareSpec)])
-    items = [(f"{name}[{i}]", value, kind) for name, kind in _LISTS.items() for i, value in enumerate(getattr(spec, name))]
-    for name, kind in _MAPPINGS.items():
-        for arch, value in getattr(spec, name).items():
-            items += [(f"{name} key", arch, Architecture), (f"{name}[{getattr(arch, 'value', arch)!r}]", value, kind)]
-    check_kinds(items)
-    issues = []
-    if not spec.architectures:
-        issues.append(("empty_list", "architectures must be non-empty"))
-    if len(set(spec.architectures)) < len(spec.architectures):
-        names = [a.value for a in spec.architectures]
-        issues.append(("duplicate_entry", f"architectures must name each architecture once, got {names!r}"))
-    for name in ("gen_lens", "batches", "prompt_lens"):
-        values = getattr(spec, name)
-        if not values:
-            issues.append(("empty_list", f"{name} must be non-empty"))
-            continue
-        low, rule = (0, ">= 0") if name == "prompt_lens" else (1, "positive")
-        if min(values) < low:
-            issues.append(("non_positive_field", f"{name} must be {rule}, got {values!r}"))
-        if any(b <= a for a, b in zip(values, values[1:])):
-            issues.append(("not_increasing", f"{name} must be strictly increasing, got {values!r}"))
-    if issues:
-        raise ConfigValidationError(issues)
-    for arch in spec.architectures:
-        validate_model_config(spec.model_for(arch), arch)
-    return spec
-
-
-_SPEC_FIELDS = {"architectures": list, "gen_lens": list, "batches": list, "prompt_lens": list,
-                "accel": dict, "models": dict, "hardware": dict}
 
 
 def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: bool = False) -> SweepSpec:
@@ -147,7 +130,7 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
     (an ``unused_entry`` issue, a rule of the document, not of ``SweepSpec``);
     every other rule is checked by the ``SweepSpec`` as it is built.
     """
-    data = read_fields(data, _SPEC_FIELDS, (), "sweep spec", strict)
+    data = read_fields(data, json_kinds(SweepSpec), (), "sweep spec", strict)
     kwargs = {name: tuple(data[name]) for name in ("gen_lens", "batches", "prompt_lens") if name in data}
     if "architectures" in data:
         names = json_array(data["architectures"], "architectures", str)

@@ -1,10 +1,15 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rooflm.config
+import rooflm.sweep
 from rooflm.config import (
+    JSON_NAMES,
     NO_ACCELERATION,
     AccelerationConfig,
     Architecture,
@@ -15,17 +20,17 @@ from rooflm.config import (
     architecture_from_name,
     derive_param_count,
     hardware_from_dict,
+    json_kinds,
     load_model_file,
     model_config_from_dict,
-    validate_acceleration,
-    validate_hardware,
+    read_fields,
     validate_model_config,
-    validate_workload,
     workload_from_dict,
 )
 from rooflm.errors import ConfigValidationError
 from rooflm.presets import A800_CLASS
 from rooflm.schedule import build_schedule
+from rooflm.sweep import sweep_spec_from_dict
 
 
 def toy_config(**overrides):
@@ -171,28 +176,28 @@ class TestDeriveParamCount:
 class TestHardwareWorkloadAccel:
     def test_hardware_rejects_bad_width(self):
         with pytest.raises(ConfigValidationError):
-            validate_hardware(HardwareSpec(1e12, 1e10, 1e9, bytes_per_element=3))
+            HardwareSpec(1e12, 1e10, 1e9, bytes_per_element=3)
 
     def test_hardware_rejects_non_positive(self):
         with pytest.raises(ConfigValidationError):
-            validate_hardware(HardwareSpec(0, 1e10, 1e9))
+            HardwareSpec(0, 1e10, 1e9)
 
     @pytest.mark.parametrize("capacity", [math.nan, math.inf], ids=["nan", "infinity"])
     def test_hardware_rejects_non_finite_capacity(self, capacity):
         with pytest.raises(ConfigValidationError) as exc:
-            validate_hardware(HardwareSpec(1e12, 1e10, capacity))
+            HardwareSpec(1e12, 1e10, capacity)
         assert exc.value.codes() == ("non_finite_field",)
 
     def test_workload_rejects_zero_gen(self):
         with pytest.raises(ConfigValidationError):
-            validate_workload(Workload(1, 0, 0))
+            Workload(1, 0, 0)
 
     def test_workload_total_len(self):
         assert Workload(2, 40, 64).total_len == 104
 
     def test_accel_rejects_tpf_below_one(self):
         with pytest.raises(ConfigValidationError):
-            validate_acceleration(AccelerationConfig(tpf=0.5))
+            AccelerationConfig(tpf=0.5)
 
     def test_accel_labels(self):
         assert AccelerationConfig().label == "none"
@@ -303,6 +308,94 @@ class TestSelfValidation:
         assert acceleration_from_dict({"dual_cache_block": 0}) == AccelerationConfig(dual_cache_block=0)
 
 
+# a valid document of each config type by JSON key (the model runs on AR), and how JSON and the library build one
+VALID_DOCS = {
+    ModelConfig: {"n_l": 2, "n_h": 2, "n_d": 4, "d": 8, "alpha": 4.0, "N": 1000.0, "G": 4},
+    HardwareSpec: {"p_max": 1e12, "b_mem": 1e10, "capacity": 1e9, "bytes_per_element": 2},
+    Workload: WORKLOAD_DOC,
+    AccelerationConfig: {"tpf": 2.0, "dual_cache": True, "dual_cache_block": 8, "cache_refresh_interval": 64},
+}
+FROM_DICT = {
+    ModelConfig: lambda doc: model_config_from_dict({"arch": "AR", **doc}),
+    HardwareSpec: hardware_from_dict,
+    Workload: workload_from_dict,
+    AccelerationConfig: acceleration_from_dict,
+}
+LIBRARY_CHECK = {ModelConfig: lambda cfg: validate_model_config(cfg, Architecture.AR)}
+
+# values that break a field of each JSON kind: of another kind, non-finite, past the bound or below any range;
+# a JSON integer in a number field is read as a float, so no int past 2**53 is drawn for one
+BAD_VALUES = {
+    int: [True, False, 2.0, "1", math.nan, math.inf, -math.inf, 2**53 + 1, 0, -1],
+    float: [True, "1", math.nan, math.inf, -math.inf, 0, -1, 0.0, -1.0, 0.5],
+    bool: [0, 1, 1.0, "false", math.nan],
+}
+VALID_VALUES = {int: st.integers(0, 2**53), float: st.floats(1e-300, 1e300) | st.integers(1, 2**53), bool: st.booleans()}
+ABSENT = object()
+
+
+def library_fields(cls):
+    """Fields of config type ``cls``, drawn from its field table: each valid, absent if it has a default, or broken.
+
+    None is not drawn: a JSON null is an issue of the document's shape, reported before its constructor runs.
+    """
+    strategies = {}
+    for f in fields(cls):
+        key = JSON_NAMES.get(f.name, f.name)
+        kind = json_kinds(cls)[key]
+        bad = BAD_VALUES[kind] + ([] if f.default is MISSING else [ABSENT])
+        strategies[f.name] = st.just(VALID_DOCS[cls][key]) | VALID_VALUES[kind] | st.sampled_from(bad)
+    return st.fixed_dictionaries(strategies).map(lambda drawn: {k: v for k, v in drawn.items() if v is not ABSENT})
+
+
+def issue_codes(build):
+    try:
+        build()
+    except ConfigValidationError as exc:
+        return exc.codes()
+    return ()
+
+
+class TestReaderLibraryParity:
+    """A JSON document, the constructor and ``dataclasses.replace`` give the same issue codes for the same fields."""
+
+    @pytest.mark.parametrize("cls", list(VALID_DOCS), ids=lambda cls: cls.__name__)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_codes(self, cls, data):
+        drawn = data.draw(library_fields(cls))
+        doc = {JSON_NAMES.get(name, name): value for name, value in drawn.items()}
+        check = LIBRARY_CHECK.get(cls, lambda config: config)
+        base = cls(**{f.name: VALID_DOCS[cls][JSON_NAMES.get(f.name, f.name)] for f in fields(cls) if f.default is MISSING})
+        from_json = issue_codes(lambda: FROM_DICT[cls](doc))
+        assert issue_codes(lambda: check(cls(**drawn))) == from_json
+        assert issue_codes(lambda: check(replace(base, **drawn))) == from_json
+
+    def test_reader_kind_maps_are_pinned(self, monkeypatch):
+        # what each JSON document accepts, so that a changed annotation cannot change it unseen
+        kinds_read = {}
+
+        def recording(data, kinds, required, what, strict):
+            kinds_read[what] = list(kinds.items())
+            return read_fields(data, kinds, required, what, strict)
+
+        for module in (rooflm.config, rooflm.sweep):
+            monkeypatch.setattr(module, "read_fields", recording)
+        sweep_spec_from_dict({"architectures": ["AR"], "models": {"AR": TOY_MODEL_DOC}, "accel": {"AR": {}},
+                              "hardware": VALID_DOCS[HardwareSpec]})
+        workload_from_dict(WORKLOAD_DOC)
+        assert kinds_read == {
+            "sweep spec": [("architectures", list), ("gen_lens", list), ("batches", list), ("prompt_lens", list),
+                           ("accel", dict), ("models", dict), ("hardware", dict)],
+            "model config": [("arch", str), ("n_l", int), ("n_h", int), ("n_d", int), ("d", int), ("alpha", float),
+                             ("N", float), ("G", int)],
+            "acceleration config": [("tpf", float), ("dual_cache", bool), ("dual_cache_block", int),
+                                    ("cache_refresh_interval", int)],
+            "hardware config": [("p_max", float), ("b_mem", float), ("capacity", float), ("bytes_per_element", int)],
+            "workload config": [("batch", int), ("prompt_len", int), ("gen_len", int), ("accel", dict)],
+        }
+
+
 class TestIntegerFieldsRejectBool:
     """``True == 1``, but a bool is not a count: every integer field rejects it with ``wrong_type``, as JSON does."""
 
@@ -320,7 +413,7 @@ class TestIntegerFieldsRejectBool:
     @pytest.mark.parametrize("name", ["batch", "prompt_len", "gen_len"])
     def test_workload(self, name):
         with pytest.raises(ConfigValidationError) as exc:
-            validate_workload(replace(Workload(1, 40, 256), **{name: True}))
+            replace(Workload(1, 40, 256), **{name: True})
         assert exc.value.codes() == ("wrong_type",)
 
 

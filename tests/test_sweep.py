@@ -3,7 +3,6 @@ from dataclasses import fields, replace
 
 import pytest
 
-import rooflm.config
 import rooflm.memory
 import rooflm.sweep
 import rooflm.throughput
@@ -20,7 +19,6 @@ from rooflm.sweep import (
     run_sweep,
     svg_text,
     sweep_spec_from_dict,
-    validate_sweep_spec,
 )
 from rooflm.throughput import IntensitySource, ThroughputEstimate, estimate_throughput
 
@@ -74,9 +72,9 @@ class TestGrid:
 
     def test_spec_validation(self):
         with pytest.raises(ConfigValidationError):
-            validate_sweep_spec(toy_spec(gen_lens=()))
+            toy_spec(gen_lens=())
         with pytest.raises(ConfigValidationError):
-            validate_sweep_spec(toy_spec(batches=(4, 2)))
+            toy_spec(batches=(4, 2))
 
     @pytest.mark.parametrize("fields, code", [
         ({"gen_lens": ()}, "empty_list"),
@@ -138,7 +136,13 @@ class TestGrid:
     def test_sweep_does_not_recheck_its_spec(self, monkeypatch):
         spec = toy_spec()  # it validated itself when built
         validated = []
-        monkeypatch.setattr(rooflm.sweep, "validate_sweep_spec", validated.append)
+        post_init = SweepSpec.__post_init__
+
+        def counted(self):
+            validated.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SweepSpec, "__post_init__", counted)
         run_sweep(spec)
         assert validated == []
         sweep_spec_from_dict({"gen_lens": [8]})
@@ -147,17 +151,32 @@ class TestGrid:
     def test_invalid_hardware_rejected_before_any_point(self, monkeypatch):
         evaluated = []
         monkeypatch.setattr(rooflm.sweep, "build_schedule", lambda *args: evaluated.append(args))
-        for check in (validate_sweep_spec, run_sweep):
+        with pytest.raises(ConfigValidationError) as exc:
+            run_sweep(toy_spec(hardware=replace(TOY_HW, b_mem=0.0)))
+        assert exc.value.codes() == ("non_positive_field",)
+        assert evaluated == []
+
+    @pytest.mark.parametrize("arch", [Architecture.AR, Architecture.BLOCK_DIFFUSION])
+    def test_dual_cache_off_dlm_rejected_before_any_point(self, monkeypatch, arch):
+        evaluated = []
+        monkeypatch.setattr(rooflm.sweep, "build_schedule", lambda *args: evaluated.append(args))
+        fields = {"architectures": (Architecture.DLM, arch), "accel": {arch: AccelerationConfig(dual_cache=True)}}
+        for build in (lambda: toy_spec(**fields), lambda: replace(toy_spec(), **fields)):
             with pytest.raises(ConfigValidationError) as exc:
-                check(toy_spec(hardware=replace(TOY_HW, b_mem=0.0)))
-            assert exc.value.codes() == ("non_positive_field",)
+                run_sweep(build())
+            assert exc.value.issues == (("unsupported_acceleration", f"dual_cache applies to DLM only, not {arch.value}"),)
         assert evaluated == []
 
     def test_sweep_validates_no_hardware(self, monkeypatch):
         spec = toy_spec()  # its HardwareSpec validated itself when built
         validated = []
-        for module in (rooflm.config, rooflm.sweep, rooflm.memory, rooflm.throughput):
-            monkeypatch.setattr(module, "validate_hardware", validated.append, raising=False)
+        post_init = HardwareSpec.__post_init__
+
+        def counted(self):
+            validated.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(HardwareSpec, "__post_init__", counted)
         run_sweep(spec)
         assert validated == []
 
