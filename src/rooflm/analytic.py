@@ -157,7 +157,7 @@ def _phase_cost(cfg: ModelConfig, sums: PhaseSums, hw: HardwareSpec, batch: int 
 
 def total_cost(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:
     """Decode and prefill costs of ``schedule`` from its phase sums, in O(1)."""
-    batch = schedule.batch
+    batch = schedule.workload.batch
     return ScheduleCost(
         decode=_phase_cost(cfg, schedule.decode, hw, batch),
         prefill=_phase_cost(cfg, schedule.prefill, hw, batch),

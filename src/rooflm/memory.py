@@ -1,8 +1,8 @@
 """Device-memory footprint estimates and out-of-memory detection.
 
 weights     bytes_per_element * N
-kv cache    bytes_per_element * 2 * n_l * d * L * B   (AR and block diffusion;
-            DLM holds K/V only when dual cache is on, sized to the full L)
+kv cache    bytes_per_element * 2 * n_l * d * kv_len * B, with kv_len the
+            schedule's resident K/V length (see ``DecodeSchedule``)
 activations bytes_per_element * c_mem * n_l * s_max * d * B, with s_max the
             widest decode forward pass (the whole sequence for a vanilla DLM,
             one block for block diffusion, the tokens-per-step for AR), read
@@ -58,17 +58,11 @@ def estimate_memory(
     wl: Workload,
     accel: AccelerationConfig = NO_ACCELERATION,
 ) -> MemoryReport:
-    return schedule_memory(build_schedule(arch, cfg, wl, accel), cfg, hw, wl, accel)
+    return schedule_memory(build_schedule(arch, cfg, wl, accel), cfg, hw)
 
 
-def schedule_memory(
-    schedule: DecodeSchedule,
-    cfg: ModelConfig,
-    hw: HardwareSpec,
-    wl: Workload,
-    accel: AccelerationConfig,
-) -> MemoryReport:
-    """Footprint of ``wl`` under ``schedule``, the ``build_schedule`` of the same point.
+def schedule_memory(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> MemoryReport:
+    """Footprint of ``schedule``'s workload on ``hw``, with ``cfg``'s weights.
 
     A footprint beyond the float range is an ``out_of_range`` error, never a
     report with an infinite total or headroom.
@@ -76,12 +70,12 @@ def schedule_memory(
     bpe = hw.bytes_per_element
     weights = bpe * cfg.n_params
 
-    holds_kv = schedule.arch is not Architecture.DLM or accel.dual_cache
-    activations = bpe * ACTIVATION_SCALE * cfg.n_l * schedule.decode.max_active * cfg.d * wl.batch
-    kv = bpe * 2.0 * cfg.n_l * cfg.d * wl.total_len * wl.batch if holds_kv else 0.0
+    batch = schedule.workload.batch
+    activations = bpe * ACTIVATION_SCALE * cfg.n_l * schedule.decode.max_active * cfg.d * batch
+    kv = bpe * 2.0 * cfg.n_l * cfg.d * schedule.kv_len * batch
     total = weights + kv + activations + OVERHEAD_BYTES
     if not math.isfinite(total):
-        raise out_of_range(schedule.arch, wl)
+        raise out_of_range(schedule.arch, schedule.workload)
     return MemoryReport(
         weights_bytes=weights,
         kv_cache_bytes=kv,

@@ -145,7 +145,7 @@ def count_schedule(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec)
     phases: dict[bool, list[Run]] = {False: [], True: []}
     for run in schedule.expand():
         phases[run[0].is_prefill].append(run)
-    values = _forward_values(cfg, hw, schedule.batch)
+    values = _forward_values(cfg, hw, schedule.workload.batch)
     return ScheduleCost(decode=_accumulate(phases[False], values), prefill=_accumulate(phases[True], values))
 
 
@@ -256,10 +256,10 @@ def _metric_pairs(
     """
     schedule = build_schedule(arch, cfg, wl, accel)
     ana = schedule_throughput(
-        schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=IntensitySource.PUBLISHED, include_prefill=False
+        schedule, total_cost(schedule, cfg, hw), cfg, hw, source=IntensitySource.PUBLISHED, include_prefill=False
     )
     orc = schedule_throughput(
-        schedule, count_schedule(schedule, cfg, hw), cfg, hw, wl, source=IntensitySource.SCHEDULE, include_prefill=False
+        schedule, count_schedule(schedule, cfg, hw), cfg, hw, source=IntensitySource.SCHEDULE, include_prefill=False
     )
     return {
         "flops_total": (ana.flops_total, orc.flops_total),

@@ -76,7 +76,8 @@ class DecodeSchedule:
     """One request's forward passes: closed-form sums per phase, runs of passes on demand."""
 
     arch: Architecture
-    batch: int
+    workload: Workload  # the point the passes were built for
+    kv_len: int         # tokens per sequence whose K/V stay resident: the sequence, or 0 for a DLM without dual cache
     decode: PhaseSums
     prefill: PhaseSums
     expand: Callable[[], Iterator[Run]] = field(repr=False, compare=False)
@@ -261,7 +262,8 @@ def build_schedule(
     prompt = 0 if arch is Architecture.DLM else wl.prompt_len
     return DecodeSchedule(
         arch=arch,
-        batch=wl.batch,
+        workload=wl,
+        kv_len=0 if arch is Architecture.DLM and not accel.dual_cache else wl.total_len,
         decode=decode,
         prefill=PhaseSums.uniform(1, prompt, prompt) if prompt else PhaseSums(),
         expand=lambda: chain(((StepDescriptor(prompt, prompt, True), 1),) if prompt else (), runs()),

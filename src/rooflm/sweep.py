@@ -205,9 +205,9 @@ def evaluate_point(
     ``out_of_range`` error, never a row holding an infinite or NaN number.
     """
     schedule = build_schedule(arch, cfg, wl, accel)
-    memory = schedule_memory(schedule, cfg, hw, wl, accel)
+    memory = schedule_memory(schedule, cfg, hw)
     est = schedule_throughput(
-        schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=source, include_prefill=include_prefill
+        schedule, total_cost(schedule, cfg, hw), cfg, hw, source=source, include_prefill=include_prefill
     )
     return SweepRow(
         arch=arch,

@@ -78,7 +78,7 @@ def estimate_throughput(
     """Schedule the workload, cost it, and hand both to ``schedule_throughput``."""
     schedule = build_schedule(arch, cfg, wl, accel)
     return schedule_throughput(
-        schedule, total_cost(schedule, cfg, hw), cfg, hw, wl, source=source, include_prefill=include_prefill
+        schedule, total_cost(schedule, cfg, hw), cfg, hw, source=source, include_prefill=include_prefill
     )
 
 
@@ -87,12 +87,11 @@ def schedule_throughput(
     cost: ScheduleCost,
     cfg: ModelConfig,
     hw: HardwareSpec,
-    wl: Workload,
     *,
     source: IntensitySource,
     include_prefill: bool,
 ) -> ThroughputEstimate:
-    """Place ``schedule``, costed as ``cost``, on the roofline and divide.
+    """Place ``schedule``, costed as ``cost``, on the roofline and divide by its workload's FLOPs per token.
 
     ``include_prefill`` folds the prompt pass into the reported totals and,
     for the schedule source, into the intensity and FLOPs/token as well; the
@@ -101,7 +100,7 @@ def schedule_throughput(
     range; such a point is an ``out_of_range`` error, never an estimate
     holding an infinite or NaN number.
     """
-    steps = schedule.decode.passes
+    steps, wl = schedule.decode.passes, schedule.workload
     try:
         agg = cost.combined if include_prefill else cost.decode
         flops, mops = agg.flops, agg.mops

@@ -36,12 +36,13 @@ def phase_sums(steps):
     return PhaseSums(count, active, active_context, context, max_active)
 
 
-def schedule_of(arch, batch, steps):
-    """A schedule of explicitly listed passes, each its own run."""
+def schedule_of(arch, wl, steps):
+    """A schedule of explicitly listed passes for workload ``wl``, each its own run, keeping K/V for all of ``wl``."""
     steps = tuple(steps)
     return DecodeSchedule(
         arch=arch,
-        batch=batch,
+        workload=wl,
+        kv_len=wl.total_len,
         decode=phase_sums(s for s in steps if not s.is_prefill),
         prefill=phase_sums(s for s in steps if s.is_prefill),
         expand=lambda: ((step, 1) for step in steps),

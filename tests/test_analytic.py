@@ -235,7 +235,7 @@ class TestTotalCost:
     def test_additive_over_concatenation(self, toy_cfg, toy_hw):
         s1 = build_schedule(Architecture.AR, toy_cfg, wl(gen=5))
         s2 = build_schedule(Architecture.AR, toy_cfg, wl(gen=9))
-        joined = schedule_of(Architecture.AR, 1, every_pass(s1) + every_pass(s2))
+        joined = schedule_of(Architecture.AR, wl(gen=5 + 9), every_pass(s1) + every_pass(s2))
         lhs = total_cost(joined, toy_cfg, toy_hw).decode
         a, b = (total_cost(s, toy_cfg, toy_hw).decode for s in (s1, s2))
         assert lhs.flops == pytest.approx(a.flops + b.flops, rel=1e-15)

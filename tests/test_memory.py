@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from rooflm.config import AccelerationConfig, Architecture, ModelConfig, Workload
 from rooflm.errors import ConfigValidationError
 from rooflm.memory import estimate_memory
-from rooflm.presets import A800_CLASS, AR_8B, BLOCK_DIFFUSION_8B, DLM_8B
+from rooflm.presets import A800_CLASS, AR_8B, BLOCK_DIFFUSION_8B, DEFAULT_MODELS, DLM_8B
+from rooflm.schedule import build_schedule
 
 EIGHT_B = ModelConfig(n_l=32, n_h=32, n_d=128, d=4096, alpha=3.5, n_params=8.0e9)
 BATCH_GRID = (1, 2, 4, 8, 16, 20, 24, 32, 64)
@@ -18,18 +19,24 @@ class TestComponents:
         rep = estimate_memory(Architecture.AR, EIGHT_B, A800_CLASS, Workload(1, 0, 64))
         assert rep.weights_bytes == 16e9
 
-    def test_ar_kv_hand_value(self):
-        rep = estimate_memory(Architecture.AR, EIGHT_B, A800_CLASS, Workload(32, 40, 256))
+    @pytest.mark.parametrize("arch", [Architecture.AR, Architecture.BLOCK_DIFFUSION])
+    def test_kv_hand_value(self, arch):
+        cfg, wl = DEFAULT_MODELS[arch], Workload(32, 40, 256)
+        rep = estimate_memory(arch, cfg, A800_CLASS, wl)
+        assert build_schedule(arch, cfg, wl).kv_len == 296
         assert rep.kv_cache_bytes == pytest.approx(4.97e9, rel=0.01)
         assert rep.kv_cache_bytes == 2 * 2 * 32 * 4096 * 296 * 32
 
     def test_vanilla_dlm_holds_no_kv(self):
-        rep = estimate_memory(Architecture.DLM, EIGHT_B, A800_CLASS, Workload(4, 40, 256))
+        wl = Workload(4, 40, 256)
+        rep = estimate_memory(Architecture.DLM, EIGHT_B, A800_CLASS, wl)
+        assert build_schedule(Architecture.DLM, EIGHT_B, wl).kv_len == 0
         assert rep.kv_cache_bytes == 0
 
     def test_dual_cache_dlm_holds_kv_sized_to_sequence(self):
-        accel = AccelerationConfig(dual_cache=True)
-        rep = estimate_memory(Architecture.DLM, EIGHT_B, A800_CLASS, Workload(4, 40, 256), accel)
+        accel, wl = AccelerationConfig(dual_cache=True), Workload(4, 40, 256)
+        rep = estimate_memory(Architecture.DLM, EIGHT_B, A800_CLASS, wl, accel)
+        assert build_schedule(Architecture.DLM, EIGHT_B, wl, accel).kv_len == 296
         assert rep.kv_cache_bytes == 2 * 2 * 32 * 4096 * 296 * 4
 
     def test_total_is_sum_of_parts(self):

@@ -126,7 +126,7 @@ class TestCountSchedule:
 
     def test_single_step_equals_count_forward(self):
         step = StepDescriptor(2, 6, False)
-        sched = schedule_of(Architecture.AR, 3, (step,))
+        sched = schedule_of(Architecture.AR, Workload(batch=3, prompt_len=4, gen_len=2), (step,))
         total = count_schedule(sched, TINY, HW).decode
         by_hand = count_forward(TINY, step, HW, batch=3)
         assert total.flops == fsum(o.flops for o in by_hand)
@@ -153,7 +153,7 @@ class TestCountSchedule:
         sched = build_schedule(Architecture.AR, cfg, Workload(2, 3, 40))
         shuffled_steps = list(every_pass(sched))
         random.Random(7).shuffle(shuffled_steps)
-        shuffled = schedule_of(sched.arch, sched.batch, shuffled_steps)
+        shuffled = schedule_of(sched.arch, sched.workload, shuffled_steps)
         a = count_schedule(sched, cfg, HW)
         b = count_schedule(shuffled, cfg, HW)
         assert a.decode.flops == b.decode.flops
@@ -193,7 +193,7 @@ def _fsum_every_pass(sched, cfg, prefill):
     """Per component, the fsum of count_forward over every pass of one phase, one pass at a time."""
     parts = {name: [] for name in CostBreakdown().components}
     for step in passes(sched, prefill):
-        for op in count_forward(cfg, step, HW, sched.batch):
+        for op in count_forward(cfg, step, HW, sched.workload.batch):
             parts[COMPONENT[op.op_name]].append(op.flops + op.bytes)  # one of the two is 0
     return {name: fsum(values) for name, values in parts.items()}
 
