@@ -64,12 +64,13 @@ def _cmd_analyze(args) -> int:
     print(f"regime: {est.regime.value}")
     print(f"length regime: {length_regime(cfg, wl)}")
     print(f"attainable: {est.attainable:.6g} FLOPs/s")
-    print(f"decode steps: {est.decode_steps}")
-    print(f"decode flops: {est.flops_total:.6g}")
-    print(f"decode mops: {est.mops_total:.6g} bytes")
+    phase = "decode+prefill" if args.include_prefill else "decode"  # the totals fold in the prompt pass under the flag
+    print(f"decode steps: {row.schedule.decode.passes}")
+    print(f"{phase} flops: {est.flops_total:.6g}")
+    print(f"{phase} mops: {est.mops_total:.6g} bytes")
     print(f"flops per token: {est.flops_per_token:.6g}")
     print(f"throughput: {est.tokens_per_second:.6g} tokens/s")
-    print(f"generated tokens: {est.generated_tokens}")
+    print(f"generated tokens: {wl.batch * wl.gen_len}")
     print(f"memory: weights={mem.weights_bytes:.6g} kv={mem.kv_cache_bytes:.6g} "
           f"activations={mem.activation_bytes:.6g} overhead={mem.overhead_bytes:.6g} total={mem.total_bytes:.6g} "
           f"capacity={mem.capacity_bytes:.6g} headroom={mem.headroom_bytes:.6g} oom={'true' if mem.oom else 'false'}")

@@ -401,6 +401,8 @@ def load_json(path: str | Path) -> Any:
             raise ConfigValidationError([("invalid_encoding", f"{path}: {exc}")]) from None
         except ValueError as exc:  # an integer literal beyond Python's digit limit
             raise ConfigValidationError([("out_of_range", f"{path}: {exc}")]) from None
+        except RecursionError:  # arrays or objects nested past the parser's depth; the document is not echoed
+            raise ConfigValidationError([("out_of_range", f"{path}: JSON nested deeper than the reader can parse")]) from None
 
 
 def load_model_file(path: str | Path, strict: bool = True) -> tuple[Architecture, ModelConfig]:

@@ -270,24 +270,6 @@ def _metric_pairs(
     }
 
 
-def vary(variable: str, cfg: ModelConfig, wl: Workload, value: int) -> tuple[ModelConfig, Workload]:
-    """The point with sweep variable ``variable`` set to ``value``.
-
-    ``L`` is the generation length, ``B`` the batch size, ``G`` the block size.
-    """
-    if variable == "L":
-        return cfg, replace(wl, gen_len=value)
-    if variable == "B":
-        return cfg, replace(wl, batch=value)
-    if variable == "G":
-        return replace(cfg, block_size=value), wl
-    raise _unknown_variable(variable)
-
-
-def _unknown_variable(variable: str) -> ValueError:
-    return ValueError(f"variable must be 'L', 'B', or 'G', got {variable!r}")
-
-
 def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log(ys) against log(xs)."""
     import numpy as np  # here, not at the top: only the oracle's fit needs it, and it dominates start-up
@@ -296,19 +278,22 @@ def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(slope)
 
 
-def _grid(variable: str, arch: Architecture, cfg: ModelConfig, wl: Workload) -> list[int]:
-    """The values ``oracle_check`` samples ``variable`` at, or a ValueError if it cannot sample them."""
+def _grid(variable: str, arch: Architecture, cfg: ModelConfig, wl: Workload) -> list[tuple[int, ModelConfig, Workload]]:
+    """The points ``oracle_check`` samples ``variable`` at, as (value, model, workload), or a ValueError if it cannot.
+
+    ``L`` is the generation length, ``B`` the batch size, ``G`` the block size.
+    """
     if variable == "L":
         if wl.prompt_len + 4 * wl.gen_len > _MAX_L:
             raise ValueError(f"oracle_check is toy-scale only (L <= {_MAX_L})")
-        return [wl.gen_len, 2 * wl.gen_len, 4 * wl.gen_len]
+        return [(n * wl.gen_len, cfg, replace(wl, gen_len=n * wl.gen_len)) for n in (1, 2, 4)]
     if variable == "B":
-        return [wl.batch, 2 * wl.batch, 4 * wl.batch, 8 * wl.batch]
+        return [(n * wl.batch, cfg, replace(wl, batch=n * wl.batch)) for n in (1, 2, 4, 8)]
     if variable != "G":
-        raise _unknown_variable(variable)
+        raise ValueError(f"variable must be 'L', 'B', or 'G', got {variable!r}")
     if arch is not Architecture.BLOCK_DIFFUSION or cfg.block_size is None:
         raise ValueError(f"variable 'G' needs block diffusion with a block size G, got {arch.value} with G={cfg.block_size}")
-    return [cfg.block_size, 2 * cfg.block_size, 4 * cfg.block_size, 8 * cfg.block_size]
+    return [(n * cfg.block_size, replace(cfg, block_size=n * cfg.block_size), wl) for n in (1, 2, 4, 8)]
 
 
 def oracle_check(
@@ -320,11 +305,12 @@ def oracle_check(
     *,
     variables: Sequence[str],
 ) -> OracleReport:
-    """Sweep each of ``variables`` (see ``vary``) from the given base point and compare both sources.
+    """Sweep each of ``variables`` (see ``_grid``) from the given base point and compare both sources.
 
     Every variable's grid is made before any point is evaluated: an empty or
     repeated list, an unknown variable, ``G`` other than on block diffusion
-    with a block size, or an ``L`` grid past the toy-scale cap is a ``ValueError``.
+    with a block size, an ``L`` grid past the toy-scale cap, or a point its
+    own type rejects (a batch past 2**53) is a ``ValueError``.
     """
     if cfg.n_l > _MAX_NL or cfg.d > _MAX_D:
         raise ValueError(f"oracle_check is toy-scale only (n_l <= {_MAX_NL}, d <= {_MAX_D})")
@@ -335,8 +321,7 @@ def oracle_check(
     checks = []
     for variable, grid in grids:
         samples: dict[str, list[PointSample]] = {metric: [] for metric in METRICS}
-        for value in grid:
-            case_cfg, case_wl = vary(variable, cfg, wl, value)
+        for value, case_cfg, case_wl in grid:
             for metric, (ana, orc) in _metric_pairs(arch, case_cfg, case_wl, accel, hw).items():
                 samples[metric].append(PointSample(value, ana, orc))
 

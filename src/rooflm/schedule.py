@@ -73,10 +73,11 @@ Run = tuple[StepDescriptor, int]  # a pass and how many times in a row it occurs
 
 @dataclass(frozen=True)
 class DecodeSchedule:
-    """One request's forward passes: closed-form sums per phase, runs of passes on demand."""
+    """The passes of the point (arch, workload, accel): closed-form sums per phase, runs of passes on demand."""
 
     arch: Architecture
-    workload: Workload  # the point the passes were built for
+    workload: Workload
+    accel: AccelerationConfig
     kv_len: int         # tokens per sequence whose K/V stay resident: the sequence, or 0 for a DLM without dual cache
     decode: PhaseSums
     prefill: PhaseSums
@@ -248,6 +249,7 @@ def build_schedule(
 
     Its inputs checked themselves when built; ``validate_model_config`` and
     ``check_acceleration`` pair the model and the acceleration with ``arch``.
+    The schedule carries ``arch``, ``wl`` and ``accel``, the whole point.
     """
     validate_model_config(cfg, arch)
     check_acceleration(accel, arch)
@@ -263,6 +265,7 @@ def build_schedule(
     return DecodeSchedule(
         arch=arch,
         workload=wl,
+        accel=accel,
         kv_len=0 if arch is Architecture.DLM and not accel.dual_cache else wl.total_len,
         decode=decode,
         prefill=PhaseSums.uniform(1, prompt, prompt) if prompt else PhaseSums(),

@@ -1,8 +1,10 @@
 """Parameter-grid sweeps with CSV and SVG reporting.
 
 A sweep evaluates every (architecture, acceleration, batch, prompt length,
-generation length) tuple of its grid, keeping out-of-memory rows (flagged,
-with the throughput fields left empty) so plots can show truncated series.
+generation length) point of its grid into a row: the point's schedule, which
+carries the point, its memory report and its throughput estimate. Out-of-memory
+rows are kept (flagged, with the throughput cells left empty) so plots can
+show truncated series.
 Grid points are independent pure evaluations; rows are always merged into
 lexicographic order on the row key, so output is byte-identical across runs.
 
@@ -49,7 +51,7 @@ from .presets import (
     DEFAULT_PROMPT_LENS,
     EXTENDED_GEN_LENS,
 )
-from .schedule import build_schedule
+from .schedule import DecodeSchedule, build_schedule
 from .throughput import IntensitySource, ThroughputEstimate, schedule_throughput
 
 CSV_COLUMNS = (
@@ -167,18 +169,16 @@ def sweep_spec_from_dict(data: Mapping, strict: bool = True, extended_lengths: b
 
 @dataclass(frozen=True)
 class SweepRow:
-    arch: Architecture
-    accel_label: str
-    batch: int
-    prompt_len: int
-    gen_len: int
-    tpf: float
+    """One grid point: its schedule (which carries the point), memory report and throughput estimate."""
+
+    schedule: DecodeSchedule
     memory: MemoryReport
     estimate: ThroughputEstimate
 
     @property
     def key(self) -> tuple:
-        return (self.arch.value, self.accel_label, self.batch, self.prompt_len, self.gen_len)
+        s, wl = self.schedule, self.schedule.workload
+        return (s.arch.value, s.accel.label, wl.batch, wl.prompt_len, wl.gen_len)
 
     @property
     def throughput(self) -> Optional[float]:
@@ -196,29 +196,21 @@ def evaluate_point(
     source: IntensitySource,
     include_prefill: bool,
 ) -> SweepRow:
-    """Memory verdict and throughput estimate of one grid point.
+    """The schedule, memory verdict and throughput estimate of one grid point.
 
-    The point is scheduled and costed once, and both come from that one
-    schedule, so they equal what ``estimate_memory`` and
-    ``estimate_throughput`` return for it, and are rejected as they are: a
-    point whose valid inputs take a total past the float range is an
-    ``out_of_range`` error, never a row holding an infinite or NaN number.
+    The point is scheduled and costed once, and the memory report and the
+    estimate both come from that one schedule, so they equal what
+    ``estimate_memory`` and ``estimate_throughput`` return for it, and are
+    rejected as they are: a point whose valid inputs take a total past the
+    float range is an ``out_of_range`` error, never a row holding an infinite
+    or NaN number.
     """
     schedule = build_schedule(arch, cfg, wl, accel)
     memory = schedule_memory(schedule, cfg, hw)
     est = schedule_throughput(
         schedule, total_cost(schedule, cfg, hw), cfg, hw, source=source, include_prefill=include_prefill
     )
-    return SweepRow(
-        arch=arch,
-        accel_label=accel.label,
-        batch=wl.batch,
-        prompt_len=wl.prompt_len,
-        gen_len=wl.gen_len,
-        tpf=accel.tpf,
-        memory=memory,
-        estimate=est,
-    )
+    return SweepRow(schedule, memory, est)
 
 
 def run_sweep(
@@ -253,16 +245,17 @@ def csv_text(rows: Sequence[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
         est = None if r.memory.oom else r.estimate  # OOM rows leave the throughput cells empty
+        s, wl = r.schedule, r.schedule.workload
         lines.append(
             ",".join(
                 (
-                    r.arch.value,
-                    r.accel_label,
-                    str(r.batch),
-                    str(r.prompt_len),
-                    str(r.gen_len),
-                    str(r.estimate.decode_steps),
-                    _fmt(r.tpf),
+                    s.arch.value,
+                    s.accel.label,
+                    str(wl.batch),
+                    str(wl.prompt_len),
+                    str(wl.gen_len),
+                    str(s.decode.passes),
+                    _fmt(s.accel.tpf),
                     _fmt(r.estimate.flops_total),
                     _fmt(r.estimate.mops_total),
                     _fmt(est.arint if est else None),
@@ -291,10 +284,6 @@ _WIDTH, _HEIGHT = 720.0, 480.0
 _ML, _MR, _MT, _MB = 64.0, 180.0, 40.0, 56.0
 
 
-def _series_label(arch: Architecture, accel_label: str) -> str:
-    return arch.value if accel_label == "none" else f"{arch.value}+{accel_label}"
-
-
 def svg_text(rows: Sequence[SweepRow], axis: str, title: str) -> str:
     """Log-x line plot of throughput against ``axis`` ('gen_len' or 'batch')."""
     if axis not in ("gen_len", "batch"):
@@ -303,8 +292,8 @@ def svg_text(rows: Sequence[SweepRow], axis: str, title: str) -> str:
     for r in rows:
         if r.throughput is None:
             continue  # truncated series at OOM points
-        key = (r.arch.value, r.accel_label)
-        series.setdefault(key, []).append((getattr(r, axis), r.throughput))
+        key = (r.schedule.arch.value, r.schedule.accel.label)
+        series.setdefault(key, []).append((getattr(r.schedule.workload, axis), r.throughput))
     if not series:
         raise EmptyRowSet("no plottable (non-OOM) rows")
     for pts in series.values():
@@ -371,7 +360,7 @@ def svg_text(rows: Sequence[SweepRow], axis: str, title: str) -> str:
         ly = _MT + 16 + 18 * i
         lx = _ML + plot_w + 12
         out.append(f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 22:.2f}" y2="{ly - 4:.2f}" stroke="{color}" stroke-width="2"/>')
-        label = _series_label(Architecture(key[0]), key[1])
+        label = key[0] if key[1] == "none" else "+".join(key)
         out.append(f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-family="sans-serif" font-size="12">{label}</text>')
 
     out.append("</svg>")
@@ -400,14 +389,15 @@ def emit_report_set(rows: Sequence[SweepRow], out_dir: str | Path, spec: SweepSp
     gen_batch = min(spec.batches)
     batch_gen = 256 if 256 in spec.gen_lens else spec.gen_lens[len(spec.gen_lens) // 2]
     for prompt_len in spec.prompt_lens:
+        at_prompt = [r for r in rows if r.schedule.workload.prompt_len == prompt_len]
         plot(
-            [r for r in rows if r.prompt_len == prompt_len and r.batch == gen_batch],
+            [r for r in at_prompt if r.schedule.workload.batch == gen_batch],
             "gen_len",
             out_dir / f"throughput_vs_gen_len_p{prompt_len}.svg",
             f"throughput vs generation length (prompt {prompt_len}, batch {gen_batch})",
         )
         plot(
-            [r for r in rows if r.prompt_len == prompt_len and r.gen_len == batch_gen],
+            [r for r in at_prompt if r.schedule.workload.gen_len == batch_gen],
             "batch",
             out_dir / f"throughput_vs_batch_p{prompt_len}.svg",
             f"throughput vs batch size (prompt {prompt_len}, gen {batch_gen})",

@@ -10,8 +10,8 @@ closed-form intensity estimates and their step-FLOPs convention instead, for
 reproducing reference figure shapes; the two conventions differ by constant
 factors.
 
-Throughput covers the decode phase only unless ``include_prefill`` is set:
-prefill is reported separately and folded into memory and total-FLOPs views.
+Throughput covers the decode phase only unless ``include_prefill`` folds the
+prompt pass in; memory counts the prompt's K/V either way (see ``memory``).
 """
 
 from __future__ import annotations
@@ -50,14 +50,12 @@ class ThroughputEstimate:
     flops_per_token: float
     attainable: float
     tokens_per_second: float
-    generated_tokens: int     # B * L_g
     regime: Regime
     source: IntensitySource
     arint: float
     ridge: float
-    decode_steps: int
-    flops_total: float        # decode-phase schedule FLOPs
-    mops_total: float         # decode-phase schedule bytes
+    flops_total: float        # schedule FLOPs of the decode phase, plus the prompt pass under include_prefill
+    mops_total: float         # schedule bytes of the decode phase, plus the prompt pass under include_prefill
 
 
 def flops_per_token(total_flops: float, wl: Workload) -> float:
@@ -100,14 +98,14 @@ def schedule_throughput(
     range; such a point is an ``out_of_range`` error, never an estimate
     holding an infinite or NaN number.
     """
-    steps, wl = schedule.decode.passes, schedule.workload
+    wl = schedule.workload
     try:
         agg = cost.combined if include_prefill else cost.decode
         flops, mops = agg.flops, agg.mops
         if source is IntensitySource.PUBLISHED:
             step_flops, elements = published_step(schedule.arch, cfg, wl)
             arint = step_flops / elements  # published_arint, from the one evaluation
-            fpt = flops_per_token(steps * step_flops, wl)
+            fpt = flops_per_token(schedule.decode.passes * step_flops, wl)
         else:
             arint = flops / mops
             fpt = flops_per_token(flops, wl)
@@ -121,12 +119,10 @@ def schedule_throughput(
         flops_per_token=fpt,
         attainable=point.attainable,
         tokens_per_second=tps,
-        generated_tokens=wl.batch * wl.gen_len,
         regime=point.regime,
         source=source,
         arint=arint,
         ridge=point.ridge,
-        decode_steps=steps,
         flops_total=flops,
         mops_total=mops,
     )

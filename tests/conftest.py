@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from rooflm.config import Architecture, HardwareSpec, ModelConfig, Workload
+from rooflm.config import NO_ACCELERATION, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.schedule import DecodeSchedule, PhaseSums
 
 
@@ -42,6 +42,7 @@ def schedule_of(arch, wl, steps):
     return DecodeSchedule(
         arch=arch,
         workload=wl,
+        accel=NO_ACCELERATION,
         kv_len=wl.total_len,
         decode=phase_sums(s for s in steps if not s.is_prefill),
         prefill=phase_sums(s for s in steps if s.is_prefill),

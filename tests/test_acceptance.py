@@ -31,7 +31,8 @@ def default_rows():
 def _by_point(rows):
     groups = defaultdict(dict)
     for r in rows:
-        groups[(r.batch, r.prompt_len, r.gen_len)][r.arch] = r
+        wl = r.schedule.workload
+        groups[(wl.batch, wl.prompt_len, wl.gen_len)][r.schedule.arch] = r
     return groups
 
 
@@ -243,11 +244,11 @@ def test_08_parallel_decoding_identity():
             models={arch: cfg}, accel={arch: AccelerationConfig(tpf=3.1)},
         )
     )
-    base = {(r.batch, r.prompt_len, r.gen_len): r for r in baseline}
+    base = {r.schedule.workload: r for r in baseline}
     assert len(accelerated) == len(base) == 3
     for row in accelerated:
-        assert row.batch == 1 and row.tpf == 3.1
-        speedup = row.throughput / base[(row.batch, row.prompt_len, row.gen_len)].throughput
+        assert row.schedule.workload.batch == 1 and row.schedule.accel.tpf == 3.1
+        speedup = row.throughput / base[row.schedule.workload].throughput
         assert abs(speedup - 3.1) <= 1e-12 * 3.1
     _report(8, "parallel-decoding identity")
 

@@ -91,6 +91,24 @@ class TestAnalyze:
         digests = hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256((tmp_path / "row.csv").read_bytes()).hexdigest()
         assert digests == ANALYZE_SHA256[model, workload]
 
+    @pytest.mark.parametrize("flag, label, flops, mops", [
+        ((), "decode", "3.16438e+12", "4.237e+12"),
+        (("--include-prefill",), "decode+prefill", "1.44744e+13", "4.25444e+12"),
+    ], ids=["decode", "prefill"])
+    def test_totals_are_labeled_with_the_phases_they_fold(self, capsys, repo_root, flag, label, flops, mops):
+        configs = repo_root / "configs"
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--model", str(configs / "models" / "ar_8b.json"),
+            "--hardware", str(configs / "hardware_a800_class.json"),
+            "--workload", str(configs / "workloads" / "long_prompt.json"),
+            *flag,
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[9:12] == ["decode steps: 256", f"{label} flops: {flops}", f"{label} mops: {mops} bytes"]
+
     def test_toy_report(self, capsys, config_files):
         code, out, err = run(
             capsys,
@@ -402,6 +420,26 @@ def test_analyze_fuzz_exits_0_or_2_with_finite_output(tmp_path_factory, docs, so
     else:
         assert out == ""
         assert err.startswith("error [")
+
+
+@pytest.mark.parametrize("command, slot, field", [
+    ("analyze", "model", "n_l"),
+    ("ridge", "hardware", "p_max"),
+    ("sweep", "spec", "gen_lens"),
+])
+def test_json_nested_past_the_parser_depth_exits_2(capsys, tmp_path, config_files, command, slot, field):
+    depth = 100_000
+    path = tmp_path / f"{slot}_deep.json"
+    path.write_text('{"%s": %s%s}' % (field, "[" * depth, "]" * depth))
+    argv = {
+        "analyze": ["--model", str(path), "--hardware", str(config_files["hardware"]),
+                    "--workload", str(config_files["workload"])],
+        "ridge": ["--hardware", str(path)],
+        "sweep": ["--spec", str(path), "--out-dir", str(tmp_path / "o")],
+    }[command]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error [out_of_range]: {path}: JSON nested deeper than the reader can parse\n"
 
 
 class TestRidge:

@@ -114,6 +114,6 @@ def test_cost_does_not_grow_with_gen_len():
         est = row.estimate
         values = (est.tokens_per_second, est.arint, est.flops_total, est.mops_total, row.memory.total_bytes)
         assert all(math.isfinite(v) and v > 0 for v in values), row.key
-        assert est.decode_steps >= wl.gen_len // 4
+        assert row.schedule.decode.passes >= wl.gen_len // 4
     assert peak < 1 << 20
     assert elapsed < 1.0

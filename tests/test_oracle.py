@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rooflm import analytic, oracle, throughput
 from rooflm.analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
+from rooflm.errors import ConfigValidationError
 from rooflm.oracle import (
     OP_NAMES,
     battery_report,
@@ -302,6 +303,15 @@ class TestOracleCheck:
         monkeypatch.setattr(oracle, "build_schedule", lambda *args: built.append(args))
         with pytest.raises(ValueError, match="each once"):
             oracle_check(Architecture.AR, ModelConfig(1, 1, 8, 8, 1.0, 64.0), Workload(1, 0, 8), variables=variables)
+        assert built == []
+
+    def test_rejects_a_grid_point_past_the_integer_bound_before_any_point(self, monkeypatch):
+        # the batch grid from 2**51 ends at 2**54, past the 2**53 bound every Workload checks
+        built, real = [], oracle.build_schedule
+        monkeypatch.setattr(oracle, "build_schedule", lambda *args: built.append(args) or real(*args))
+        with pytest.raises(ConfigValidationError) as exc:
+            oracle_check(Architecture.AR, ModelConfig(1, 1, 8, 8, 1.0, 64.0), Workload(2**51, 0, 8), variables=("B",))
+        assert exc.value.codes() == ("out_of_range",)
         assert built == []
 
     @pytest.mark.parametrize("arch", [Architecture.AR, Architecture.DLM], ids=["AR", "DLM"])

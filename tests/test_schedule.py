@@ -168,6 +168,7 @@ class TestProperties:
         a = build_schedule(arch, cfg_for(arch), wl, accel)
         b = build_schedule(arch, cfg_for(arch), wl, accel)
         assert a == b
+        assert a.arch is arch and a.workload is wl and a.accel is accel  # the schedule carries its point
         assert repr(every_pass(a)) == repr(every_pass(b))
 
     @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelC
 from rooflm.errors import ConfigValidationError, EmptyRowSet
 from rooflm.memory import MemoryReport, estimate_memory
 from rooflm.presets import A800_CLASS, BLOCK_DIFFUSION_8B, DEFAULT_MODELS, DLM_8B
+from rooflm.schedule import build_schedule
 from rooflm.sweep import (
     CSV_COLUMNS,
     SweepSpec,
@@ -51,7 +52,7 @@ class TestGrid:
         spec = toy_spec(gen_lens=(16,), batches=(2,), prompt_lens=(4,))
         rows = run_sweep(spec)
         assert len(rows) == 3
-        dlm_row = next(r for r in rows if r.arch is Architecture.DLM)
+        dlm_row = next(r for r in rows if r.schedule.arch is Architecture.DLM)
         direct = estimate_throughput(
             Architecture.DLM, TOY_MODELS[Architecture.DLM], TOY_HW, Workload(2, 4, 16)
         )
@@ -308,11 +309,14 @@ class TestSinglePointEvaluation:
         row = evaluate_point(arch, cfg, hardware, POINT_WL, accel, source=source, include_prefill=include_prefill)
         est = estimate_throughput(arch, cfg, hardware, POINT_WL, accel, source=source, include_prefill=include_prefill)
         mem = estimate_memory(arch, cfg, hardware, POINT_WL, accel)
+        assert row.schedule == build_schedule(arch, cfg, POINT_WL, accel)
         assert row.memory.oom is (hw == "oom")
         for f in fields(ThroughputEstimate):
             assert getattr(row.estimate, f.name) == getattr(est, f.name), f.name
         for f in fields(MemoryReport):
             assert getattr(row.memory, f.name) == getattr(mem, f.name), f.name
+        cells = csv_text([row]).splitlines()[1].split(",")
+        assert cells[CSV_COLUMNS.index("steps")] == str(row.schedule.decode.passes)
 
 
 class TestAcceleratedSweep:
@@ -320,12 +324,12 @@ class TestAcceleratedSweep:
         arch = Architecture.BLOCK_DIFFUSION
         cfg = replace(BLOCK_DIFFUSION_8B, block_size=31)
         spec = SweepSpec(architectures=(arch,), gen_lens=(310,), batches=(1, 2), prompt_lens=(40,), models={arch: cfg})
-        baseline = {(r.batch, r.prompt_len, r.gen_len): r for r in run_sweep(spec)}
+        baseline = {r.schedule.workload: r for r in run_sweep(spec)}
         fast = run_sweep(replace_spec_accel(spec, {arch: AccelerationConfig(tpf=3.1)}))
         assert len(fast) == len(baseline) == 2
         for row in fast:
-            assert row.tpf == 3.1
-            speedup = row.throughput / baseline[(row.batch, row.prompt_len, row.gen_len)].throughput
+            assert row.schedule.accel.tpf == 3.1
+            speedup = row.throughput / baseline[row.schedule.workload].throughput
             assert speedup == pytest.approx(3.1, rel=1e-12)
 
     def test_dual_cache_step_flops_reduction(self):
@@ -384,7 +388,7 @@ class TestEmission:
 
     def test_svg_series_and_legend(self):
         spec = toy_spec(accel={Architecture.DLM: AccelerationConfig(tpf=2.0)})
-        rows = [r for r in run_sweep(spec) if r.prompt_len == 0 and r.batch == 1]
+        rows = [r for r in run_sweep(spec) if r.schedule.workload.prompt_len == 0 and r.schedule.workload.batch == 1]
         svg = svg_text(rows, "gen_len", "test plot")
         assert svg.startswith("<svg")
         assert "DLM+parallel" in svg

@@ -10,9 +10,10 @@ import rooflm.throughput
 from rooflm.analytic import length_regime, published_arint, published_step
 from rooflm.config import AccelerationConfig, Architecture, HardwareSpec, ModelConfig, Workload
 from rooflm.errors import ConfigValidationError
-from rooflm.oracle import fit_exponent, vary
+from rooflm.oracle import fit_exponent
 from rooflm.presets import A800_CLASS, AR_8B, BLOCK_DIFFUSION_8B, DLM_8B
 from rooflm.roofline import Regime
+from rooflm.schedule import build_schedule
 from rooflm.throughput import (
     IntensitySource,
     crossing_batch,
@@ -34,16 +35,16 @@ class TestFlopsPerToken:
 
 class TestEstimate:
     def test_dlm_toy_published_composition(self, toy_cfg, toy_hw):
-        est = estimate_throughput(
-            Architecture.DLM, toy_cfg, toy_hw, Workload(1, 0, 16), source=IntensitySource.PUBLISHED
-        )
+        wl = Workload(1, 0, 16)
+        est = estimate_throughput(Architecture.DLM, toy_cfg, toy_hw, wl, source=IntensitySource.PUBLISHED)
         assert est.arint == pytest.approx(81920 / 1256, rel=1e-12)
         assert est.regime is Regime.MEMORY_BOUND
         assert est.attainable == pytest.approx(6.522292993630573e11, rel=1e-12)
         assert est.flops_per_token == pytest.approx(81920, rel=1e-12)
         assert est.tokens_per_second == pytest.approx(7.96e6, rel=1e-3)
-        assert est.decode_steps == 16
-        assert est.generated_tokens == 16
+        schedule = build_schedule(Architecture.DLM, toy_cfg, wl)
+        assert schedule.decode.passes == 16
+        assert schedule.workload.batch * schedule.workload.gen_len == 16
 
     def test_identity_holds_everywhere(self, toy_cfg, toy_hw):
         for source in IntensitySource:
@@ -120,12 +121,12 @@ class TestTrends:
         return replace(cfg, n_params=derive_param_count(cfg))
 
     def slope(self, arch, cfg, hw, wl, variable, points, regime, length):
-        """Throughput's log-log slope in ``variable``; every point must be in ``regime`` and ``length``."""
+        """Throughput's log-log slope in workload field ``variable``; every point must be in ``regime`` and ``length``."""
         throughputs = []
         for value in points:
-            case_cfg, case_wl = vary(variable, cfg, wl, value)
-            assert length_regime(case_cfg, case_wl) == length, value
-            est = estimate_throughput(arch, case_cfg, hw, case_wl)
+            case_wl = replace(wl, **{variable: value})
+            assert length_regime(cfg, case_wl) == length, value
+            est = estimate_throughput(arch, cfg, hw, case_wl)
             assert est.regime is regime, value
             throughputs.append(est.tokens_per_second)
         return fit_exponent(points, throughputs)
@@ -135,19 +136,19 @@ class TestTrends:
         hw = HardwareSpec(p_max=1e12, b_mem=1e11, capacity=1e18)  # ridge 10
         slope = self.slope(
             Architecture.DLM, cfg, hw, Workload(1, 0, 1),
-            "L", [100 * cfg.d, 200 * cfg.d, 400 * cfg.d], Regime.COMPUTE_BOUND, "L>>d",
+            "gen_len", [100 * cfg.d, 200 * cfg.d, 400 * cfg.d], Regime.COMPUTE_BOUND, "L>>d",
         )
         assert slope == pytest.approx(-2.0, abs=0.1)
 
     def test_ar_memory_bound_batch_slope(self):
         slope = self.slope(
-            Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 64), "B", [1, 2, 4, 8], Regime.MEMORY_BOUND, "L<<d"
+            Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 64), "batch", [1, 2, 4, 8], Regime.MEMORY_BOUND, "L<<d"
         )
         assert slope == pytest.approx(1.0, abs=0.05)
 
     def test_ar_memory_bound_length_slope_flat(self):
         slope = self.slope(
-            Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 1), "L", [64, 128, 256], Regime.MEMORY_BOUND, "L<<d"
+            Architecture.AR, AR_8B, A800_CLASS, Workload(1, 0, 1), "gen_len", [64, 128, 256], Regime.MEMORY_BOUND, "L<<d"
         )
         assert slope == pytest.approx(0.0, abs=0.05)
 
