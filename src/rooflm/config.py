@@ -186,13 +186,17 @@ _KINDS = {
     list: ((list, tuple), "an array"),
     dict: (Mapping, "a JSON object"),
 }
+# longest repr of an offending value that a wrong_type message echoes; longer ones are cut
+_ECHO_CHARS = 60
 
 
 def _kind_issue(name: str, value: Any, kind: type, issues: list) -> bool:
     """Whether ``value`` is no valid value of ``kind`` (a JSON kind above, or any class); if so, its issue is appended."""
     types, expected = _KINDS.get(kind, (kind, None))
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        issues.append(("wrong_type", f"{name} must be {expected or f'of type {kind.__name__}'}, got {value!r}"))
+        got = repr(value)
+        got = got if len(got) <= _ECHO_CHARS else got[:_ECHO_CHARS] + "..."
+        issues.append(("wrong_type", f"{name} must be {expected or f'of type {kind.__name__}'}, got {got}"))
     elif kind is int and value > MAX_INTEGER or kind is float and isinstance(value, int) and abs(value) > MAX_INTEGER:
         issues.append(("out_of_range", f"{name} must be at most 2**53, got an integer of {value.bit_length()} bits"))
     elif kind is float and not math.isfinite(value):

@@ -4,11 +4,11 @@ Every forward pass is expanded into its individual operators (projections,
 attention score/value matmuls, FFN halves, cache traffic, weight and
 activation movement) and summed. ``count_schedule`` reads the schedule as
 runs of equal consecutive passes (``DecodeSchedule.expand``), evaluates the
-operators once per run and streams each value into its component's one
-``fsum`` as many times as the run is long, with no per-pass list, so its
-memory is O(runs) (flat in the generation length except for AR, whose runs
-are single passes). ``fsum`` is exact whatever the order of its terms, so
-the totals are the correctly rounded per-pass sums. The operator formulas
+operators once per run and adds a run of n passes to its component's one
+``fsum`` as one term v * 2**k per set bit k of n, each exact, so its time
+and memory are O(runs) (flat in the generation length except for AR, whose
+runs are single passes). ``fsum`` is exact whatever the order of its terms,
+so the totals are the correctly rounded per-pass sums. The operator formulas
 live in one place, ``_forward_values``, which computes the part of each
 product that does not depend on the pass once per schedule, in the same
 left-to-right order, so every value is the same float as the formula written
@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from math import fsum
+from functools import reduce
+from itertools import chain, compress, repeat
+from math import fsum, ldexp
+from operator import and_, or_
 from typing import Callable, NamedTuple, Sequence
 
 from .analytic import ACTIVATION_TRAFFIC_ELEMS, CostBreakdown, ScheduleCost, total_cost
@@ -128,19 +130,24 @@ def count_forward(cfg: ModelConfig, step: StepDescriptor, hw: HardwareSpec, batc
 
 def _accumulate(runs: list[Run], values: Callable[[StepDescriptor], tuple]) -> CostBreakdown:
     steps, counts = zip(*runs) if runs else ((), ())
+    bits = reduce(or_, counts, 0)
+    # per set bit k of some run length, which runs' lengths have it
+    levels = [(k, tuple(map(and_, counts, repeat(1 << k)))) for k in range(bits.bit_length()) if bits >> k & 1]
     streams: dict[str, list] = {name: [] for name in CostBreakdown().components}
     for (_, component), column in zip(_OPERATORS, zip(*map(values, steps))):
-        streams[component].append(chain.from_iterable(map(repeat, column, counts)))
+        # v * 2**k is exact; ldexp raises OverflowError, as fsum does, where a finite total leaves the float range
+        streams[component] += (map(ldexp, compress(column, runs_with_bit), repeat(k)) for k, runs_with_bit in levels)
     return CostBreakdown(**{name: fsum(chain.from_iterable(parts)) for name, parts in streams.items()})
 
 
 def count_schedule(schedule: DecodeSchedule, cfg: ModelConfig, hw: HardwareSpec) -> ScheduleCost:
     """Sum of count_forward over all steps, decode and prefill separated.
 
-    The operators are evaluated once per run of equal passes. Each value is
-    repeated lazily, once per pass of its run, into the one ``fsum`` of its
-    component, so no per-pass list is built and memory is O(runs). The sums
-    stay exact, equal to the ``fsum`` over every pass.
+    The operators are evaluated once per run of equal passes. A run of n
+    passes adds each value v to the one ``fsum`` of its component as the
+    exact terms v * 2**k, one per set bit k of n, so time and memory are
+    O(runs) (AR's runs are single passes). The sums stay exact, equal to
+    the ``fsum`` over every pass.
     """
     phases: dict[bool, list[Run]] = {False: [], True: []}
     for run in schedule.expand():

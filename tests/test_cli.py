@@ -249,6 +249,18 @@ class TestAnalyze:
         assert out == ""
         assert f"error [{error_code}]: {key} must be" in err
 
+    def test_wrong_type_line_echoes_a_cut_value(self, capsys, tmp_path):
+        # an array of 100,000 zeros was once echoed whole: one 300 kB error line
+        hardware = tmp_path / "hw.json"
+        hardware.write_text(json.dumps({"p_max": [0] * 100_000, "b_mem": 1e10, "capacity": 1e12}))
+        code, out, err = run(capsys, "ridge", "--hardware", str(hardware))
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error [wrong_type]: p_max must be a finite number, got [0, 0, ")
+        assert line.endswith("...")
+        assert len(line.encode()) < 200
+
     def test_integer_beyond_digit_limit_exits_2(self, capsys, config_files):
         config_files["workload"].write_text('{"batch": 1, "prompt_len": 0, "gen_len": 1%s}' % ("0" * 5000))
         code, out, err = run(

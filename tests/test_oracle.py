@@ -1,4 +1,6 @@
+import math
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from math import fsum
@@ -224,14 +226,52 @@ def _fsum_every_pass(sched, cfg, prefill):
 @example(Architecture.BLOCK_DIFFUSION, 6, Workload(2, 0, 53), AccelerationConfig(tpf=3.1))
 # one decode pass and an empty prefill phase, whose fsum is over no terms
 @example(Architecture.AR, 4, Workload(1, 0, 1), AccelerationConfig())
-# one run of 4096 equal passes, each value repeated 4096 times into its fsum
+# one run of 4096 = 2**12 equal passes: each value enters its fsum once, as v * 2**12
 @example(Architecture.DLM, 4, Workload(3, 7, 4096), AccelerationConfig())
+# run lengths that are not powers of two, so a run's values enter as one term per set bit:
+# 4095 has 12 set bits; window runs of 7 and a last one of 4; 7 passes in each block of G = 7
+@example(Architecture.DLM, 4, Workload(3, 7, 4095), AccelerationConfig())
+@example(Architecture.DLM, 4, Workload(2, 5, 60), AccelerationConfig(dual_cache=True, dual_cache_block=8,
+                                                                     cache_refresh_interval=7))
+@example(Architecture.BLOCK_DIFFUSION, 7, Workload(2, 9, 53), AccelerationConfig())
 def test_grouped_passes_equal_every_pass_fsum(arch, block_size, wl, accel):
     cfg = replace(ROUNDING_CFG, block_size=block_size)
     sched = build_schedule(arch, cfg, wl, dlm_only_dual_cache(arch, accel))
     grouped = count_schedule(sched, cfg, HW)
     for phase, prefill in (("decode", False), ("prefill", True)):
         assert getattr(grouped, phase).components == _fsum_every_pass(sched, cfg, prefill), phase
+
+
+@pytest.mark.parametrize("wl, accel", [
+    (Workload(3, 7, 2**40 - 1), AccelerationConfig()),
+    (Workload(2, 8, 2**40 - 1), AccelerationConfig(dual_cache=True, dual_cache_block=4,
+                                                   cache_refresh_interval=2**30 - 1)),
+], ids=["one_run_of_40_set_bits", "dual_cache_runs_of_30_set_bits"])
+def test_count_schedule_equals_total_cost_at_runs_of_a_trillion_passes(wl, accel):
+    # 10**12 passes, out of reach one at a time; the cost is per run and per set bit of its length
+    cfg = ModelConfig(n_l=3, n_h=2, n_d=8, d=16, alpha=3.5, n_params=8000.0)  # every product exact
+    sched = build_schedule(Architecture.DLM, cfg, wl, accel)
+    start = time.perf_counter()
+    counted = count_schedule(sched, cfg, HW)
+    assert time.perf_counter() - start < 0.5
+    closed = analytic.total_cost(sched, cfg, HW)
+    for phase in ("decode", "prefill"):
+        assert getattr(counted, phase).components == getattr(closed, phase).components, phase
+
+
+@pytest.mark.parametrize("n_params, gen_len", [(6e307, 2), (6e307, 4), (6e307, 5), (4e307, 5)])
+def test_count_schedule_raises_where_a_finite_total_leaves_the_float_range(n_params, gen_len):
+    # 2 bytes * N per pass is finite, but gen_len passes of it are not: fsum over every pass raises
+    cfg = ModelConfig(1, 1, 8, 8, 1.0, n_params)
+    with pytest.raises(OverflowError):
+        count_schedule(build_schedule(Architecture.DLM, cfg, Workload(1, 0, gen_len)), cfg, HW)
+
+
+def test_count_schedule_gives_inf_where_a_pass_value_is_inf():
+    # 2 bytes * 1e308 is already inf in one pass; fsum over every pass gives inf, not an error
+    cfg = ModelConfig(1, 1, 8, 8, 1.0, 1e308)
+    cost = count_schedule(build_schedule(Architecture.DLM, cfg, Workload(1, 0, 5)), cfg, HW)
+    assert cost.decode.weights_read == math.inf
 
 
 def test_count_schedule_memory_flat_in_gen_len():
